@@ -28,7 +28,7 @@ from .coherence import (
     univariate_coherence_bound_check,
 )
 from .image_core import is_power_of_two
-from .pgm import read_pgm, write_pbm_mask, write_pgm
+from .pgm import read_pgm, write_pgm
 from .sampling import (
     SamplingPlan,
     density_from_kappa,
@@ -65,17 +65,17 @@ class CliError(Exception):
 @dataclass(frozen=True)
 class RunManifest:
     command: str
-    image: str | None
     n: int
-    density: str | None
-    m: int | None
-    seed: int | None
-    epsilon: float | None
-    noise_model: str | None
-    solver: str | None
-    solver_options: dict | None
     out_dir: str
-    version: str
+    image: str | None = None
+    density: str | None = None
+    m: int | None = None
+    seed: int | None = None
+    epsilon: float | None = None
+    noise_model: str | None = None
+    solver: str | None = None
+    solver_options: dict | None = None
+    version: str = __version__
 
     def write(self, path):
         with open(path, "w") as fh:
@@ -177,8 +177,7 @@ def cmd_coherence(args):
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    RunManifest("coherence", None, n, None, None, None, None, None, None, None,
-                str(out), __version__).write(out / "manifest.json")
+    RunManifest("coherence", n, str(out)).write(out / "manifest.json")
     for c in checks:
         print(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['claim']}: measured {c['measured']:.6g}")
     return EXIT_OK
@@ -193,9 +192,9 @@ def cmd_sample(args):
     out.mkdir(parents=True, exist_ok=True)
     plan = _build_plan(args.n, args.density, args.m, args.seed)
     plan.to_csv(out / "plan.csv")
-    write_pbm_mask(out / "mask.pgm", np.fft.fftshift(plan.mask()))
-    RunManifest("sample", None, args.n, args.density, plan.m, args.seed, None, None,
-                None, None, str(out), __version__).write(out / "manifest.json")
+    write_pgm(out / "mask.pgm", np.fft.fftshift(plan.mask()))
+    RunManifest("sample", args.n, str(out), density=args.density, m=plan.m,
+                seed=args.seed).write(out / "manifest.json")
     print(f"wrote plan with m={plan.m} ({plan.m - len(set(map(tuple, plan.freqs)))} duplicate draws)")
     return EXIT_OK
 
@@ -263,9 +262,9 @@ def cmd_reconstruct(args):
         json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     plan.to_csv(out / "plan.csv")
-    RunManifest("reconstruct", args.image, n, args.density, plan.m, args.seed,
-                args.eps, args.noise_model, args.solver, asdict(opts), str(out),
-                __version__).write(out / "manifest.json")
+    RunManifest("reconstruct", n, str(out), image=args.image, density=args.density,
+                m=plan.m, seed=args.seed, epsilon=args.eps, noise_model=args.noise_model,
+                solver=args.solver, solver_options=asdict(opts)).write(out / "manifest.json")
     print(f"relative l2 error: {err:.6g} (converged={report.converged}, "
           f"iterations={report.iterations})")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
@@ -281,10 +280,7 @@ def _sweep_cell(task):
     f, _ = read_pgm(image_path)
     n = f.shape[0]
     try:
-        if math.isinf(alpha):
-            plan = deterministic_mask(n, "lowest_frequencies", m=m)
-        else:
-            plan = draw_plan(density_power_law(n, alpha), m, seed)
+        plan = _build_plan(n, f"power:{alpha!r}", m, seed)
         opts = SolverOptions(max_iters=max_iters, primal_tol=primal_tol,
                              dual_tol=dual_tol, noise_model=noise_model, epsilon=eps)
         _, report, err = _reconstruct_once(f, plan, eps, noise_model, solver, opts,
@@ -301,7 +297,7 @@ def _sweep_cell(task):
 def cmd_sweep(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _load_image(args.image)  # validate early
+    f, _ = _load_image(args.image)  # validate early
     alphas = [math.inf if a.strip() in ("inf", "Inf", "INF") else float(a)
               for a in args.alphas.split(",")]
     eps_list = [float(e) for e in args.eps_list.split(",")]
@@ -329,10 +325,11 @@ def cmd_sweep(args):
                                            "seed", "converged", "status"])
         w.writeheader()
         w.writerows(rows)
-    RunManifest("sweep", args.image, 0, f"power:{args.alphas}", args.m, args.seed,
-                None, args.noise_model, args.solver,
-                {"eps_list": eps_list, "trials": args.trials, "jobs": args.jobs},
-                str(out), __version__).write(out / "manifest.json")
+    RunManifest("sweep", f.shape[0], str(out), image=args.image,
+                density=f"power:{args.alphas}", m=args.m, seed=args.seed,
+                noise_model=args.noise_model, solver=args.solver,
+                solver_options={"eps_list": eps_list, "trials": args.trials,
+                                "jobs": args.jobs}).write(out / "manifest.json")
     bad = sum(r["status"] != "ok" for r in rows)
     print(f"sweep finished: {len(rows)} cells, {bad} failed")
     return EXIT_OK
@@ -382,8 +379,8 @@ def cmd_verify(args):
         json.dump({"all_pass": all_pass, "results": results}, fh, indent=2,
                   sort_keys=True, default=float)
         fh.write("\n")
-    RunManifest("verify", None, max(n_list), None, None, None, None, None, None,
-                {"n_list": n_list}, str(out), __version__).write(out / "manifest.json")
+    RunManifest("verify", max(n_list), str(out),
+                solver_options={"n_list": n_list}).write(out / "manifest.json")
     for r in results:
         print(f"[{'PASS' if r['pass'] else 'FAIL'}] n={r['n']} {r['claim']}: "
               f"{r['measured']:.6g}")

@@ -69,8 +69,3 @@ def write_pgm(path, pixels, maxval=255):
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(quant.tobytes())
-
-
-def write_pbm_mask(path, mask):
-    """Write a boolean mask as an 8-bit PGM (white where True)."""
-    write_pgm(path, np.where(np.asarray(mask, bool), 1.0, 0.0), maxval=255)

@@ -5,11 +5,16 @@ Both programs minimize a seminorm subject to the weighted data-fit ball
     || rho o (F_Omega g - y) ||_2 <= eps * sqrt(m)        (weighted)
     ||        F_Omega g - y  ||_2 <= eps * sqrt(m)        (unweighted)
 
-via a first-order primal-dual splitting (PDHG). The measurement rows are
-given per-row dual step sizes proportional to 1/rho_j^2, which equalizes
-their scales; the resulting dual update is an l2-ball projection in a
-diagonal metric, solved by a scalar Newton iteration (it reduces to the
-closed-form projection when the steps are uniform, e.g. unweighted mode).
+via a first-order primal-dual splitting (PDHG). Repeated draws are merged
+first: with W_k the sum of rho_j^2 over the draws of frequency k and ybar_k
+their weighted mean, the ball becomes ||sqrt(W) o (F_K g - ybar)|| <=
+sqrt(r^2 - C) over the distinct frequencies K, where C is the weighted
+spread of the repeated samples about their means. Dual steps proportional
+to 1/W_k (diagonal preconditioning, Pock & Chambolle 2011) turn the
+measurement block into a partial isometry, so the step sizes follow from
+the closed-form operator norms sqrt(8 + 1) (TV) and sqrt(2) (Haar). The
+dual update is an l2-ball projection in a diagonal metric, solved by a
+scalar Newton iteration.
 """
 
 from dataclasses import dataclass
@@ -33,14 +38,17 @@ __all__ = [
     "add_noise",
 ]
 
+_CHECK_EVERY = 50  # iterations between objective/violation checks
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Iteration controls for the primal-dual solvers.
 
-    ``tau``/``sigma`` default to automatic steps from a power-method
-    estimate of the stacked operator norm, with the dual side favored by
-    ``step_balance`` (their product must satisfy tau * sigma * L**2 <= 1).
+    ``tau``/``sigma`` default to automatic steps from the closed-form bound
+    L on the stacked operator norm (3 for TV, sqrt(2) for Haar), with the
+    dual side favored by ``step_balance``; explicit steps must satisfy
+    tau * sigma * L**2 <= 1.
     ``epsilon`` is the noise level entering the constraint radius
     eps * sqrt(m).
     """
@@ -53,8 +61,6 @@ class SolverOptions:
     noise_model: str = "unweighted"
     epsilon: float = 0.0
     step_balance: float = 10.0
-    power_iters: int = 50
-    check_every: int = 50
 
     def __post_init__(self):
         if self.noise_model not in ("weighted", "unweighted"):
@@ -75,20 +81,14 @@ class SolverReport:
 def _prox_dual_ball(v, sig, b, r):
     """argmin_z r*||z|| + Re<b, z> + (1/2) * sum |z_j - v_j|^2 / sig_j.
 
-    The dual prox of the indicator of the ball {w : ||w - b|| <= r} under a
-    diagonal step metric. ``sig`` may be a scalar (closed form) or a vector,
-    in which case the radial scalar t solves sum |a_j|^2/(t + r*sig_j)^2 = 1.
+    The dual prox of the indicator of the ball {w : ||w - b|| <= r} under the
+    diagonal step metric ``sig``. The radial scalar t solves
+    sum |a_j|^2/(t + r*sig_j)^2 = 1; for uniform ``sig`` the Newton start is
+    already the root, which gives the closed-form projection.
     """
     a = v - sig * b
     if r == 0.0:
         return a
-    if np.isscalar(sig) or np.ptp(sig) == 0.0:
-        s = sig if np.isscalar(sig) else sig.flat[0]
-        na = np.linalg.norm(a)
-        t = na - r * s
-        if t <= 0:
-            return np.zeros_like(a)
-        return a * (t / na)
     a2 = np.abs(a) ** 2
     if np.sum(a2 / (r * sig) ** 2) <= 1.0:
         return np.zeros_like(a)
@@ -106,76 +106,69 @@ def _prox_dual_ball(v, sig, b, r):
     return a * (t / (t + r * sig))
 
 
-class _Measurement:
-    """Weighted restricted-Fourier operator g -> D (F_Omega g) for a plan."""
+def _solve(y, plan, opts, k1, k1t, lam):
+    """PDHG for min ||k1(g)||_1 s.t. ||d o (F_Omega g - y)|| <= eps*sqrt(m).
 
-    def __init__(self, plan, weighted):
-        self.n = plan.n
-        self.m = plan.m
-        i1, i2 = plan_storage_indices(plan, plan.n)
-        self.lin = i1 * plan.n + i2
-        self.d = plan.rho.astype(float) if weighted else np.ones(plan.m)
-
-    def apply(self, g):
-        return self.d * dft2_forward(g).ravel()[self.lin]
-
-    def adjoint(self, z):
-        w = self.d * z
-        nn = self.n * self.n
-        spec = np.bincount(self.lin, weights=w.real, minlength=nn) + 1j * np.bincount(
-            self.lin, weights=w.imag, minlength=nn
-        )
-        return dft2_inverse(spec.reshape(self.n, self.n))
-
-
-def _operator_norm(k1, k1t, meas, sig_pat, n, iters):
-    """Power-method estimate of ||[K1; sqrt(sig_pat) M]||."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(iters):
-        u = k1t(k1(v)) + meas.adjoint(sig_pat * meas.apply(v))
-        lam = np.linalg.norm(u)
-        v = u / lam
-    return float(np.sqrt(lam))
-
-
-def _solve(y, plan, opts, k1, k1t):
+    ``lam`` bounds the norm of the stacked operator [k1; preconditioned
+    measurement], i.e. sqrt(||k1||**2 + 1).
+    """
     y = np.asarray(y, dtype=np.complex128).ravel()
     if y.size != plan.m:
         raise ValueError(f"measurement length {y.size} != plan.m = {plan.m}")
     n = plan.n
-    meas = _Measurement(plan, weighted=opts.noise_model == "weighted")
-    b = meas.d * y
     radius = opts.epsilon * np.sqrt(plan.m)
     viol_tol = opts.dual_tol * np.sqrt(plan.m) * max(opts.epsilon, 1.0)
 
-    sig_pat = 1.0 / meas.d**2
-    lam = _operator_norm(k1, k1t, meas, sig_pat, n, opts.power_iters) * 1.01
+    # merge repeated draws: sum_j d_j^2 |x_k(j) - y_j|^2
+    #   = sum_k w_k |x_k - ybar_k|^2 + spread
+    i1, i2 = plan_storage_indices(plan, n)
+    lin, inv = np.unique(i1 * n + i2, return_inverse=True)
+    d2 = plan.rho.astype(float) ** 2 if opts.noise_model == "weighted" else np.ones(plan.m)
+    w = np.bincount(inv, weights=d2)
+    ybar = (np.bincount(inv, weights=d2 * y.real)
+            + 1j * np.bincount(inv, weights=d2 * y.imag)) / w
+    spread = float(np.sum(d2 * np.abs(y - ybar[inv]) ** 2))
+    if np.sqrt(spread) - radius > viol_tol:
+        raise ValueError(
+            f"repeated samples disagree by {np.sqrt(spread):.6g}, more than the "
+            f"data-fit radius {radius:.6g} allows"
+        )
+    sqw = np.sqrt(w)
+    b = sqw * ybar
+    radius_distinct = np.sqrt(max(radius**2 - spread, 0.0))
+
+    def measure(g):
+        return sqw * dft2_forward(g).ravel()[lin]
+
+    def measure_adjoint(z):
+        spec = np.zeros(n * n, dtype=np.complex128)
+        spec[lin] = sqw * z
+        return dft2_inverse(spec.reshape(n, n))
+
     if (opts.tau is None) != (opts.sigma is None):
         raise ValueError("tau and sigma must be given together or both left automatic")
     if opts.tau is not None:
         tau, sig_base = opts.tau, opts.sigma
         if tau * sig_base * lam**2 > 1.01:
             raise ValueError(
-                f"tau*sigma*L^2 = {tau * sig_base * lam**2:.3g} exceeds 1 (L ~ {lam:.3g})"
+                f"tau*sigma*L^2 = {tau * sig_base * lam**2:.3g} exceeds 1 (L = {lam:.3g})"
             )
     else:
         sig_base = opts.step_balance / lam
         tau = 1.0 / (opts.step_balance * lam)
-    sig_m = sig_base * sig_pat
+    sig_m = sig_base / w
 
     def objective(g):
         return sum(lp_norm(part, 1) for part in k1(g))
 
     def violation(g):
-        return max(0.0, float(np.linalg.norm(meas.apply(g) - b)) - radius)
+        fit2 = float(np.linalg.norm(measure(g) - b)) ** 2
+        return max(0.0, np.sqrt(fit2 + spread) - radius)
 
     g = np.zeros((n, n), dtype=np.complex128)
     gbar = g
     q = tuple(np.zeros_like(part) for part in k1(g))
-    z = np.zeros(plan.m, dtype=np.complex128)
+    z = np.zeros(lin.size, dtype=np.complex128)
 
     obj_prev = objective(g)
     rel_change = np.inf
@@ -188,16 +181,16 @@ def _solve(y, plan, opts, k1, k1t):
             (qi + sig_base * pi) / np.maximum(1.0, np.abs(qi + sig_base * pi))
             for qi, pi in zip(q, parts)
         )
-        z = _prox_dual_ball(z + sig_m * meas.apply(gbar), sig_m, b, radius)
+        z = _prox_dual_ball(z + sig_m * measure(gbar), sig_m, b, radius_distinct)
         g_old = g
-        g = g - tau * (k1t(q) + meas.adjoint(z))
+        g = g - tau * (k1t(q) + measure_adjoint(z))
         gbar = 2 * g - g_old
-        if it % opts.check_every == 0:
+        if it % _CHECK_EVERY == 0:
             obj = objective(g)
             viol = violation(g)
             rel_change = abs(obj - obj_prev) / max(abs(obj), 1e-30)
             obj_prev = obj
-            if it >= 2 * opts.check_every and rel_change <= opts.primal_tol and viol <= viol_tol:
+            if it >= 2 * _CHECK_EVERY and rel_change <= opts.primal_tol and viol <= viol_tol:
                 converged = True
                 break
 
@@ -225,7 +218,7 @@ def tv_min_reconstruct(y, plan, opts=None):
     def k1t(q):
         return gradient_adjoint(q[0], q[1])
 
-    return _solve(y, plan, opts, k1, k1t)
+    return _solve(y, plan, opts, k1, k1t, 3.0)  # ||grad||^2 <= 8
 
 
 def l1_haar_reconstruct(y, plan, opts=None):
@@ -238,7 +231,7 @@ def l1_haar_reconstruct(y, plan, opts=None):
     def k1t(q):
         return haar_inverse(q[0])
 
-    return _solve(y, plan, opts, k1, k1t)
+    return _solve(y, plan, opts, k1, k1t, np.sqrt(2.0))  # Haar is unitary
 
 
 def add_noise(clean, plan, eps, model="weighted", seed=0):

@@ -190,6 +190,8 @@ def test_cmd_sweep_rows_and_columns(tmp_path):
     assert len(rows) == 3 * 2 * 2
     seeds = sorted(int(r["seed"]) for r in rows)
     assert seeds == list(range(11, 11 + 12))  # one seed per cell
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["n"] == 16
 
 
 def test_cmd_sweep_noise_monotonicity(tmp_path):

@@ -209,6 +209,32 @@ def test_solver_option_validation():
         tv_min_reconstruct(y, plan, SolverOptions(tau=10.0, sigma=10.0))
 
 
+def test_solver_rejects_disagreeing_duplicates():
+    # the spread of repeated samples alone breaks the eps = 0 ball
+    n = 8
+    plan = SamplingPlan(n=n, freqs=np.array([[1, 2], [1, 2], [0, 0]]), rho=np.ones(3),
+                        density_label="dup")
+    y = np.array([1.0, 2.0, 0.5], dtype=complex)
+    with pytest.raises(ValueError, match="repeated samples"):
+        tv_min_reconstruct(y, plan)
+
+
+@pytest.mark.parametrize("model", ["weighted", "unweighted"])
+def test_constraint_violation_matches_public_operator(model):
+    n = 16
+    f = rect_phantom(n, seed=7, side=6)
+    plan = draw_plan(density_inverse_square(n), 150, seed=23)
+    assert len(np.unique(plan.freqs, axis=0)) < plan.m
+    eps = 0.1
+    y = add_noise(partial_dft(f, plan), plan, eps, model=model, seed=4)
+    opts = SolverOptions(max_iters=10, noise_model=model, epsilon=eps)
+    g, report = tv_min_reconstruct(y, plan, opts)
+    d = plan.rho if model == "weighted" else 1.0
+    want = max(0.0, np.linalg.norm(d * (partial_dft(g, plan) - y)) - eps * np.sqrt(plan.m))
+    assert want > 0
+    assert report.constraint_violation == pytest.approx(want, rel=1e-9)
+
+
 def test_solver_rejects_length_mismatch():
     plan = draw_plan(density_inverse_square(8), 30, seed=8)
     with pytest.raises(ValueError):
