@@ -14,7 +14,8 @@ to 1/W_k (diagonal preconditioning, Pock & Chambolle 2011) turn the
 measurement block into a partial isometry, so the step sizes follow from
 the closed-form operator norms sqrt(8 + 1) (TV) and sqrt(2) (Haar). The
 dual update is an l2-ball projection in a diagonal metric, solved by a
-scalar Newton iteration.
+scalar Newton iteration that starts from the previous iteration's root,
+clamped to a left bracket of the new one.
 """
 
 from dataclasses import dataclass
@@ -65,8 +66,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.noise_model not in ("weighted", "unweighted"):
             raise ValueError(f"noise_model must be weighted|unweighted, got {self.noise_model!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not np.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -76,34 +77,38 @@ class SolverReport:
     constraint_violation: float
     objective: float
     converged: bool
+    newton_steps: int  # Newton evaluations of phi in the dual-ball prox, summed
 
 
-def _prox_dual_ball(v, sig, b, r):
+def _prox_dual_ball(v, sig, b, r, t):
     """argmin_z r*||z|| + Re<b, z> + (1/2) * sum |z_j - v_j|^2 / sig_j.
 
     The dual prox of the indicator of the ball {w : ||w - b|| <= r} under the
-    diagonal step metric ``sig``. The radial scalar t solves
-    sum |a_j|^2/(t + r*sig_j)^2 = 1; for uniform ``sig`` the Newton start is
-    already the root, which gives the closed-form projection.
+    diagonal step metric ``sig``: z = a*t/(t + r*sig) with a = v - sig*b and
+    t the root of phi(t) = sum |a_j|^2/(t + r*sig_j)^2 = 1 (z = 0 if phi(0) <= 1).
+    phi is convex decreasing and phi(lo) >= 1 at lo = max(||a|| - r*max(sig), 0).
+    Newton starts at max(t, lo) for a warm start ``t`` (the previous root):
+    from the right of the root one step lands at or left of it (clamped to
+    lo); from the left it converges monotonically. Returns ``(z, root, evals)``
+    (``t`` is passed through when no root is solved for).
     """
     a = v - sig * b
     if r == 0.0:
-        return a
-    a2 = np.abs(a) ** 2
-    if np.sum(a2 / (r * sig) ** 2) <= 1.0:
-        return np.zeros_like(a)
-    # phi(t) = sum a2/(t + r sig)^2 is convex decreasing: Newton from the
-    # left bracket t >= ||a|| - r*max(sig) converges monotonically
-    t = max(np.sqrt(a2.sum()) - r * sig.max(), 1e-300)
-    for _ in range(80):
-        den = t + r * sig
-        phi = np.sum(a2 / den**2)
+        return a, t, 0
+    a2 = a.real**2 + a.imag**2
+    rs = r * sig
+    if np.sum(a2 / rs**2) <= 1.0:
+        return np.zeros_like(a), t, 0
+    lo = max(np.sqrt(a2.sum()) - rs.max(), 0.0)
+    t = max(t, lo)
+    for evals in range(1, 81):
+        inv = 1.0 / (t + rs)
+        a2inv2 = a2 * inv**2
+        phi = a2inv2.sum()
         if abs(phi - 1.0) < 1e-13:
             break
-        dphi = -2.0 * np.sum(a2 / den**3)
-        step = (phi - 1.0) / dphi
-        t = t / 2 if t - step <= 0 else t - step
-    return a * (t / (t + r * sig))
+        t = max(t + (phi - 1.0) / (2.0 * np.dot(a2inv2, inv)), lo)
+    return a * (t / (t + rs)), t, evals
 
 
 def _solve(y, plan, opts, k1, k1t, lam):
@@ -115,6 +120,8 @@ def _solve(y, plan, opts, k1, k1t, lam):
     y = np.asarray(y, dtype=np.complex128).ravel()
     if y.size != plan.m:
         raise ValueError(f"measurement length {y.size} != plan.m = {plan.m}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurements contain non-finite values")
     n = plan.n
     radius = opts.epsilon * np.sqrt(plan.m)
     viol_tol = opts.dual_tol * np.sqrt(plan.m) * max(opts.epsilon, 1.0)
@@ -140,8 +147,9 @@ def _solve(y, plan, opts, k1, k1t, lam):
     def measure(g):
         return sqw * dft2_forward(g).ravel()[lin]
 
+    spec = np.zeros(n * n, dtype=np.complex128)  # only spec[lin] is ever written
+
     def measure_adjoint(z):
-        spec = np.zeros(n * n, dtype=np.complex128)
         spec[lin] = sqw * z
         return dft2_inverse(spec.reshape(n, n))
 
@@ -169,6 +177,8 @@ def _solve(y, plan, opts, k1, k1t, lam):
     gbar = g
     q = tuple(np.zeros_like(part) for part in k1(g))
     z = np.zeros(lin.size, dtype=np.complex128)
+    t_ball = 0.0  # root of the last dual-ball prox, its next warm start
+    newton_steps = 0
 
     obj_prev = objective(g)
     rel_change = np.inf
@@ -176,12 +186,11 @@ def _solve(y, plan, opts, k1, k1t, lam):
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
-        parts = k1(gbar)
-        q = tuple(
-            (qi + sig_base * pi) / np.maximum(1.0, np.abs(qi + sig_base * pi))
-            for qi, pi in zip(q, parts)
-        )
-        z = _prox_dual_ball(z + sig_m * measure(gbar), sig_m, b, radius_distinct)
+        q = tuple(qi + sig_base * pi for qi, pi in zip(q, k1(gbar)))
+        q = tuple(u / np.maximum(1.0, np.abs(u)) for u in q)
+        z, t_ball, evals = _prox_dual_ball(z + sig_m * measure(gbar), sig_m, b,
+                                           radius_distinct, t_ball)
+        newton_steps += evals
         g_old = g
         g = g - tau * (k1t(q) + measure_adjoint(z))
         gbar = 2 * g - g_old
@@ -200,6 +209,7 @@ def _solve(y, plan, opts, k1, k1t, lam):
         constraint_violation=float(violation(g)),
         objective=float(objective(g)),
         converged=converged,
+        newton_steps=newton_steps,
     )
     return g, report
 

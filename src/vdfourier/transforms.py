@@ -14,6 +14,7 @@ scale with orientation blocks (0,1), (1,0), (1,1), each shift-row-major.
 With that ordering the scale-``n`` block occupies ``[4**n, 4**(n+1))``.
 """
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -143,7 +144,9 @@ def haar_forward(f):
     """Bivariate Haar transform to the canonical coefficient vector.
 
     Computed by the recursive 2x2 butterfly scheme in O(n^2 log n); equals
-    the dense matrix product with :func:`haar_matrix` rows.
+    the dense matrix product with :func:`haar_matrix` rows. Each level forms
+    row-pair sums and differences, then column-pair sums and differences of
+    those (8 adds per 2x2 block); temporaries stay a quarter of the level.
     """
     f = as_image(f)
     n = f.shape[0]
@@ -151,15 +154,16 @@ def haar_forward(f):
     w = np.empty(n * n, dtype=np.complex128)
     cur = f
     for lev in range(p - 1, -1, -1):
-        b00 = cur[0::2, 0::2]
-        b01 = cur[0::2, 1::2]
-        b10 = cur[1::2, 0::2]
-        b11 = cur[1::2, 1::2]
-        q = 4**lev
-        w[q : 2 * q] = ((b00 - b01 + b10 - b11) / 2).ravel()
-        w[2 * q : 3 * q] = ((b00 + b01 - b10 - b11) / 2).ravel()
-        w[3 * q : 4 * q] = ((b00 - b01 - b10 + b11) / 2).ravel()
-        cur = (b00 + b01 + b10 + b11) / 2
+        q, m = 4**lev, 1 << lev
+        top, bot = cur[0::2], cur[1::2]
+        s0, s1 = top[:, 0::2] + bot[:, 0::2], top[:, 1::2] + bot[:, 1::2]
+        d0, d1 = top[:, 0::2] - bot[:, 0::2], top[:, 1::2] - bot[:, 1::2]
+        np.subtract(s0, s1, out=w[q : 2 * q].reshape(m, m))
+        np.add(d0, d1, out=w[2 * q : 3 * q].reshape(m, m))
+        np.subtract(d0, d1, out=w[3 * q : 4 * q].reshape(m, m))
+        w[q : 4 * q] *= 0.5
+        cur = s0 + s1
+        cur *= 0.5
     w[0] = cur[0, 0]
     return w
 
@@ -174,42 +178,47 @@ def haar_inverse(w):
     p = n.bit_length() - 1
     cur = w[:1].reshape(1, 1)
     for lev in range(p):
-        q = 4**lev
-        m = 1 << lev
+        q, m = 4**lev, 1 << lev
         d01 = w[q : 2 * q].reshape(m, m)
         d10 = w[2 * q : 3 * q].reshape(m, m)
         d11 = w[3 * q : 4 * q].reshape(m, m)
-        nxt = np.empty((2 * m, 2 * m), dtype=np.complex128)
-        nxt[0::2, 0::2] = (cur + d01 + d10 + d11) / 2
-        nxt[0::2, 1::2] = (cur - d01 + d10 - d11) / 2
-        nxt[1::2, 0::2] = (cur + d01 - d10 - d11) / 2
-        nxt[1::2, 1::2] = (cur - d01 - d10 + d11) / 2
-        cur = nxt
+        s0, s1, d0, d1 = cur + d01, cur - d01, d10 + d11, d10 - d11
+        cur = np.empty((2 * m, 2 * m), dtype=np.complex128)
+        top, bot = cur[0::2], cur[1::2]
+        np.add(s0, d0, out=top[:, 0::2])
+        np.add(s1, d1, out=top[:, 1::2])
+        np.subtract(s0, d0, out=bot[:, 0::2])
+        np.subtract(s1, d1, out=bot[:, 1::2])
+        cur *= 0.5
     return cur
 
 
 # ---------------------------------------------------------------------------
 # Fourier transforms
 
-def _phase(n):
-    # accounts for the t = index + 1 evaluation of the Fourier atoms
-    return np.exp(-2j * np.pi * np.arange(n) / n)
+@functools.lru_cache(maxsize=8)
+def _phase_grids(n):
+    """Forward and inverse (n, n) phases of the t = index + 1 atoms.
+
+    Built once per n; every caller shares them, so they are read-only.
+    """
+    ph = np.exp(-2j * np.pi * np.arange(n) / n)
+    grids = (np.outer(ph, ph), np.outer(ph.conj(), ph.conj()))
+    for grid in grids:
+        grid.flags.writeable = False
+    return grids
 
 
 def dft2_forward(f):
     """Orthonormal 2-D DFT; entry (k1 % n, k2 % n) equals <phi_{k1,k2}, f>."""
     f = as_image(f)
-    n = f.shape[0]
-    ph = _phase(n)
-    return np.fft.fft2(f) / n * np.outer(ph, ph)
+    return np.fft.fft2(f, norm="ortho") * _phase_grids(f.shape[0])[0]
 
 
 def dft2_inverse(spec):
     """Inverse (= adjoint) of :func:`dft2_forward`."""
     spec = np.asarray(spec, dtype=np.complex128)
-    n = spec.shape[0]
-    ph = np.conj(_phase(n))
-    return np.fft.ifft2(spec * np.outer(ph, ph)) * n
+    return np.fft.ifft2(spec * _phase_grids(spec.shape[0])[1], norm="ortho")
 
 
 def plan_storage_indices(plan, n):

@@ -148,6 +148,13 @@ def test_cmd_reconstruct_rejects_bad_image(tmp_path):
                  "--m", "10", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_cmd_reconstruct_rejects_nan_eps(tmp_path):
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    assert main(["reconstruct", "--image", str(img_path), "--density", "inv-square",
+                 "--m", "100", "--eps", "nan", "--out", str(tmp_path / "rec")]) == 2
+
+
 def test_cmd_reconstruct_nonconvergence_exit_code(tmp_path):
     img_path = tmp_path / "in.pgm"
     write_test_image(img_path, n=16)

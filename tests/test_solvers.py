@@ -235,6 +235,35 @@ def test_constraint_violation_matches_public_operator(model):
     assert report.constraint_violation == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solver_rejects_nonfinite_measurements(bad):
+    n = 16
+    plan = draw_plan(density_inverse_square(n), 100, seed=5)
+    y = partial_dft(rect_phantom(n, seed=1, side=6), plan)
+    y[17] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        tv_min_reconstruct(y, plan)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_solver_options_reject_nonfinite_epsilon(eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        SolverOptions(epsilon=eps)
+
+
+def test_newton_steps_counts_prox_work():
+    n = 16
+    f = rect_phantom(n, seed=7, side=6)
+    plan = draw_plan(density_inverse_square(n), 150, seed=23)
+    clean = partial_dft(f, plan)
+    _, exact = tv_min_reconstruct(clean, plan, SolverOptions(max_iters=200))
+    assert exact.newton_steps == 0
+    y = add_noise(clean, plan, 0.1, model="weighted", seed=4)
+    opts = SolverOptions(max_iters=200, noise_model="weighted", epsilon=0.1)
+    _, noisy = tv_min_reconstruct(y, plan, opts)
+    assert noisy.newton_steps > 0
+
+
 def test_solver_rejects_length_mismatch():
     plan = draw_plan(density_inverse_square(8), 30, seed=8)
     with pytest.raises(ValueError):
