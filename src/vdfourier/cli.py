@@ -78,19 +78,33 @@ class RunManifest:
     version: str = __version__
 
     def write(self, path):
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, asdict(self))
 
 
-def _write_grid_csv(path, n, values):
-    ks = freq_values(n)
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=float)
+        fh.write("\n")
+
+
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["k1", "k2", "value"])
-        for i1 in range(n):
-            for i2 in range(n):
-                w.writerow([int(ks[i1]), int(ks[i2]), repr(float(values[i1, i2]))])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_grid_csv(path, values):
+    ks = freq_values(values.shape[0])
+    _write_csv(path, ["k1", "k2", "value"],
+               ([int(ks[i1]), int(ks[i2]), repr(float(v))]
+                for (i1, i2), v in np.ndenumerate(values)))
+
+
+def _make_out(path):
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _parse_density_spec(spec):
@@ -98,9 +112,8 @@ def _parse_density_spec(spec):
     if spec in ("uniform", "inv-square", "inv-max", "lowpass"):
         return spec, None
     if spec.startswith("power:"):
-        arg = spec.split(":", 1)[1]
-        alpha = math.inf if arg in ("inf", "Inf", "INF") else float(arg)
-        if alpha < 0:
+        alpha = float(spec.split(":", 1)[1])  # float() parses inf
+        if not alpha >= 0:
             raise CliError(f"power-law exponent must be >= 0, got {alpha}")
         return "power", alpha
     if spec.startswith("radial:"):
@@ -142,17 +155,16 @@ def _check_n(n, limit=256):
 
 def cmd_coherence(args):
     _check_n(args.n)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args.out)
     n = args.n
     p = n.bit_length() - 1
 
     mu = local_coherence_exact(n)
     kap = kappa_table(n)
     kapp = kappa_prime_table(n)
-    _write_grid_csv(out / "coherence_map.csv", n, mu)
-    _write_grid_csv(out / "kappa.csv", n, kap)
-    _write_grid_csv(out / "kappa_prime.csv", n, kapp)
+    _write_grid_csv(out / "coherence_map.csv", mu)
+    _write_grid_csv(out / "kappa.csv", kap)
+    _write_grid_csv(out / "kappa_prime.csv", kapp)
 
     uni = univariate_coherence_bound_check(n)
     l2k = kappa_l2(n, "kappa")
@@ -172,10 +184,8 @@ def cmd_coherence(args):
         bound = 52 * math.sqrt(p)
         checks.append({"claim": "kappa_prime l2 <= 52 sqrt(p)", "bound": bound,
                        "measured": l2kp, "pass": bool(l2kp <= bound)})
-    report = {"n": n, "kappa_l2": l2k, "kappa_prime_l2": l2kp, "checks": checks}
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json",
+                {"n": n, "kappa_l2": l2k, "kappa_prime_l2": l2kp, "checks": checks})
 
     RunManifest("coherence", n, str(out)).write(out / "manifest.json")
     for c in checks:
@@ -188,9 +198,8 @@ def cmd_coherence(args):
 
 def cmd_sample(args):
     _check_n(args.n)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     plan = _build_plan(args.n, args.density, args.m, args.seed)
+    out = _make_out(args.out)
     plan.to_csv(out / "plan.csv")
     write_pgm(out / "mask.pgm", np.fft.fftshift(plan.mask()))
     RunManifest("sample", args.n, str(out), density=args.density, m=plan.m,
@@ -202,14 +211,9 @@ def cmd_sample(args):
 # ---------------------------------------------------------------------------
 # reconstruct
 
-def _solver_options(args):
-    return SolverOptions(
-        max_iters=args.max_iters,
-        primal_tol=args.primal_tol,
-        dual_tol=args.dual_tol,
-        noise_model=args.noise_model,
-        epsilon=args.eps,
-    )
+def _solver_options(args, eps):
+    return SolverOptions(max_iters=args.max_iters, primal_tol=args.primal_tol,
+                         dual_tol=args.dual_tol, noise_model=args.noise_model, epsilon=eps)
 
 
 def _load_image(path):
@@ -219,9 +223,9 @@ def _load_image(path):
     return pixels, maxval
 
 
-def _reconstruct_once(f, plan, eps, noise_model, solver, opts, noise_seed):
-    clean = partial_dft(f, plan)
-    y = add_noise(clean, plan, eps, model=noise_model, seed=noise_seed)
+def _reconstruct_once(f, plan, solver, opts, noise_seed):
+    y = add_noise(partial_dft(f, plan), plan, opts.epsilon, model=opts.noise_model,
+                  seed=noise_seed)
     solve = tv_min_reconstruct if solver == "tv" else l1_haar_reconstruct
     recon, report = solve(y, plan, opts)
     err = float(np.linalg.norm(recon - f) / np.linalg.norm(f))
@@ -229,8 +233,6 @@ def _reconstruct_once(f, plan, eps, noise_model, solver, opts, noise_seed):
 
 
 def cmd_reconstruct(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     f, maxval = _load_image(args.image)
     n = f.shape[0]
     if args.plan:
@@ -239,28 +241,18 @@ def cmd_reconstruct(args):
         if args.density is None:
             raise CliError("either --plan or --density is required")
         plan = _build_plan(n, args.density, args.m, args.seed)
-    opts = _solver_options(args)
-    recon, report, err = _reconstruct_once(
-        f, plan, args.eps, args.noise_model, args.solver, opts,
-        args.seed + NOISE_SEED_OFFSET,
-    )
+    opts = _solver_options(args, args.eps)
+    out = _make_out(args.out)
+    recon, report, err = _reconstruct_once(f, plan, args.solver, opts,
+                                           args.seed + NOISE_SEED_OFFSET)
 
     write_pgm(out / "recon.pgm", np.clip(recon.real, 0.0, 1.0), maxval=maxval)
     if np.abs(recon.imag).max() > 1e-6:
-        with open(out / "recon_complex.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t1", "t2", "real", "imag"])
-            for t1 in range(n):
-                for t2 in range(n):
-                    w.writerow([t1, t2, repr(float(recon[t1, t2].real)),
-                                repr(float(recon[t1, t2].imag))])
-    with open(out / "error.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["quantity", "value"])
-        w.writerow(["relative_l2_error", repr(err)])
-    with open(out / "report.json", "w") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_csv(out / "recon_complex.csv", ["t1", "t2", "real", "imag"],
+                   ([t1, t2, repr(float(v.real)), repr(float(v.imag))]
+                    for (t1, t2), v in np.ndenumerate(recon)))
+    _write_csv(out / "error.csv", ["quantity", "value"], [["relative_l2_error", repr(err)]])
+    _write_json(out / "report.json", asdict(report))
     plan.to_csv(out / "plan.csv")
     RunManifest("reconstruct", n, str(out), image=args.image, density=args.density,
                 m=plan.m, seed=args.seed, epsilon=args.eps, noise_model=args.noise_model,
@@ -273,46 +265,37 @@ def cmd_reconstruct(args):
 # ---------------------------------------------------------------------------
 # sweep
 
+SWEEP_COLUMNS = ["alpha", "epsilon", "trial", "m", "error", "seed", "converged", "status"]
+
+
 def _sweep_cell(task):
     """One (alpha, eps, trial) cell; returns a result row dict."""
-    (image_path, alpha, eps, trial, m, seed, noise_model, solver,
-     max_iters, primal_tol, dual_tol) = task
-    f, _ = read_pgm(image_path)
-    n = f.shape[0]
+    f, alpha, opts, trial, m, seed, solver = task
+    row = {"alpha": alpha, "epsilon": opts.epsilon, "trial": trial, "m": m,
+           "error": float("nan"), "seed": seed, "converged": False, "status": "ok"}
     try:
-        plan = _build_plan(n, f"power:{alpha!r}", m, seed)
-        opts = SolverOptions(max_iters=max_iters, primal_tol=primal_tol,
-                             dual_tol=dual_tol, noise_model=noise_model, epsilon=eps)
-        _, report, err = _reconstruct_once(f, plan, eps, noise_model, solver, opts,
-                                           seed + NOISE_SEED_OFFSET)
-        return {"alpha": alpha, "epsilon": eps, "trial": trial, "m": m,
-                "error": err, "seed": seed, "converged": report.converged,
-                "status": "ok"}
+        plan = _build_plan(f.shape[0], f"power:{alpha!r}", m, seed)
+        _, report, row["error"] = _reconstruct_once(f, plan, solver, opts,
+                                                    seed + NOISE_SEED_OFFSET)
+        row["converged"] = report.converged
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the sweep
-        return {"alpha": alpha, "epsilon": eps, "trial": trial, "m": m,
-                "error": float("nan"), "seed": seed, "converged": False,
-                "status": f"error: {exc}"}
+        row["status"] = f"error: {exc}"
+    return row
 
 
 def cmd_sweep(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    f, _ = _load_image(args.image)  # validate early
-    alphas = [math.inf if a.strip() in ("inf", "Inf", "INF") else float(a)
-              for a in args.alphas.split(",")]
+    f, _ = _load_image(args.image)
+    alphas = [_parse_density_spec(f"power:{a}")[1] for a in args.alphas.split(",")]
     eps_list = [float(e) for e in args.eps_list.split(",")]
-    if args.m is None:
-        raise CliError("sweep requires --m")
+    opts_list = [_solver_options(args, eps) for eps in eps_list]
+    out = _make_out(args.out)
 
     tasks = []
-    cell = 0
     for alpha in alphas:
-        for eps in eps_list:
+        for opts in opts_list:
             for trial in range(args.trials):
-                tasks.append((args.image, alpha, eps, trial, args.m,
-                              args.seed + cell, args.noise_model, args.solver,
-                              args.max_iters, args.primal_tol, args.dual_tol))
-                cell += 1
+                tasks.append((f, alpha, opts, trial, args.m, args.seed + len(tasks),
+                              args.solver))
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -320,11 +303,7 @@ def cmd_sweep(args):
     else:
         rows = [_sweep_cell(t) for t in tasks]
 
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["alpha", "epsilon", "trial", "m", "error",
-                                           "seed", "converged", "status"])
-        w.writeheader()
-        w.writerows(rows)
+    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
     RunManifest("sweep", f.shape[0], str(out), image=args.image,
                 density=f"power:{args.alphas}", m=args.m, seed=args.seed,
                 noise_model=args.noise_model, solver=args.solver,
@@ -339,11 +318,10 @@ def cmd_sweep(args):
 # verify
 
 def cmd_verify(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     n_list = [int(v) for v in args.n_list.split(",")]
     for n in n_list:
         _check_n(n, limit=64)
+    out = _make_out(args.out)
 
     results = []
     for n in n_list:
@@ -375,10 +353,7 @@ def cmd_verify(args):
                     "bound": None, "measured": decay, "pass": math.isfinite(decay)})
 
     all_pass = all(r["pass"] for r in results)
-    with open(out / "verify.json", "w") as fh:
-        json.dump({"all_pass": all_pass, "results": results}, fh, indent=2,
-                  sort_keys=True, default=float)
-        fh.write("\n")
+    _write_json(out / "verify.json", {"all_pass": all_pass, "results": results})
     RunManifest("verify", max(n_list), str(out),
                 solver_options={"n_list": n_list}).write(out / "manifest.json")
     for r in results:
@@ -391,7 +366,6 @@ def cmd_verify(args):
 # parser
 
 def _add_common_solver_flags(sp):
-    sp.add_argument("--eps", type=float, default=0.0, help="noise level epsilon")
     sp.add_argument("--noise-model", choices=["weighted", "unweighted"],
                     default="unweighted")
     sp.add_argument("--solver", choices=["tv", "haar"], default="tv")
@@ -426,10 +400,13 @@ def build_parser():
     sp.add_argument("--m", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
+    sp.add_argument("--eps", type=float, default=0.0, help="noise level epsilon")
     _add_common_solver_flags(sp)
     sp.set_defaults(func=cmd_reconstruct)
 
-    sp = sub.add_parser("sweep", help="error table over power-law exponents and noise")
+    # no abbreviations: --eps would silently mean --eps-list
+    sp = sub.add_parser("sweep", help="error table over power-law exponents and noise",
+                        allow_abbrev=False)
     sp.add_argument("--image", required=True)
     sp.add_argument("--alphas", required=True, help="comma list, e.g. 0,2,4,inf")
     sp.add_argument("--eps-list", default="0")

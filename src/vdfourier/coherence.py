@@ -35,6 +35,16 @@ def _check_args(p, k, n):
         raise ValueError(f"scale n must satisfy 0 <= n < {p}, got {n}")
 
 
+def _inner_1d(p, k, e, scale, l):
+    """Unchecked, broadcasting closed form of :func:`fourier_haar_inner_1d`."""
+    zero = k == 0
+    half = np.exp(2j * np.pi * k * 2.0 ** (-scale - 1))
+    pre = np.exp(2j * np.pi * l * k * 2.0**-scale) * (1 + (1 - 2 * e) * half)
+    den = np.where(zero, 1.0, 1 - np.exp(2j * np.pi * k * 2.0**-p))
+    geo = 2.0 ** (scale / 2 - p) * (1 - half) / den
+    return np.where(zero, (1 - e) * 2.0 ** (-scale / 2), pre * geo)
+
+
 def fourier_haar_inner_1d(p, k, e, n, l):
     """Inner product of the 1-D Fourier atom phi_k with the Haar block h^e_{n,l}.
 
@@ -51,12 +61,7 @@ def fourier_haar_inner_1d(p, k, e, n, l):
         raise ValueError(f"e must be 0 or 1, got {e}")
     if not 0 <= l < (1 << n):
         raise ValueError(f"shift l out of range for scale {n}")
-    if k == 0:
-        return 0.0 + 0.0j if e == 1 else complex(2.0 ** (-n / 2))
-    half = np.exp(2j * np.pi * k * 2.0 ** (-n - 1))
-    pre = np.exp(2j * np.pi * l * k * 2.0**-n) * (1 + (-1) ** e * half)
-    geo = 2.0 ** (n / 2 - p) * (1 - half) / (1 - np.exp(2j * np.pi * k * 2.0**-p))
-    return complex(pre * geo)
+    return complex(_inner_1d(p, k, e, n, l))
 
 
 def fourier_haar_inner_1d_direct(p, k, e, n, l):
@@ -77,14 +82,8 @@ def coherence_tables_1d(n):
     if not is_power_of_two(n):
         raise ValueError(f"n must be a power of two, got {n}")
     p = n.bit_length() - 1
-    ks = freq_values(n)
-    a0 = np.empty((n, p))
-    a1 = np.empty((n, p))
-    for i, k in enumerate(ks):
-        for scale in range(p):
-            a0[i, scale] = abs(fourier_haar_inner_1d(p, int(k), 0, scale, 0))
-            a1[i, scale] = abs(fourier_haar_inner_1d(p, int(k), 1, scale, 0))
-    return a0, a1
+    ks = freq_values(n)[:, None]
+    return tuple(np.abs(_inner_1d(p, ks, e, np.arange(p), 0)) for e in (0, 1))
 
 
 def local_coherence_exact(n):
@@ -93,14 +92,14 @@ def local_coherence_exact(n):
     Entry (k1 % n, k2 % n) is the supremum over all Haar atoms of the
     bivariate inner-product magnitude, computed from the factored 1-D
     tables; the constant atom contributes exactly at the zero frequency.
+    A running maximum over scales and orientations keeps memory at O(n^2).
     """
     a0, a1 = coherence_tables_1d(n)
+    mu = np.zeros((n, n))
     # orientation blocks (0,1), (1,0), (1,1) share the scale index
-    per_scale = np.maximum(
-        a0[:, None, :] * a1[None, :, :],
-        np.maximum(a1[:, None, :] * a0[None, :, :], a1[:, None, :] * a1[None, :, :]),
-    )
-    mu = per_scale.max(axis=2)
+    for u0, u1 in zip(a0.T, a1.T):
+        for r, c in ((u0, u1), (u1, u0), (u1, u1)):
+            np.maximum(mu, np.multiply.outer(r, c), out=mu)
     mu[0, 0] = max(mu[0, 0], 1.0)  # constant Fourier atom vs constant Haar atom
     return mu
 
@@ -151,16 +150,12 @@ def univariate_coherence_bound_check(n):
     block types, and ``max_corollary_ratio`` of the detail-wavelet supremum
     against 3*sqrt(2*pi) / sqrt(|k|). Both must be <= 1.
     """
-    p = n.bit_length() - 1
     a0, a1 = coherence_tables_1d(n)
     ks = freq_values(n)
-    scales = np.arange(p)
-    max_ratio = 0.0
-    max_cor = 0.0
-    for i, k in enumerate(ks):
-        if k == 0:
-            continue
-        bound = np.minimum(6 * 2.0 ** (scales / 2) / abs(k), 3 * np.pi * 2.0 ** (-scales / 2))
-        max_ratio = max(max_ratio, (a0[i] / bound).max(), (a1[i] / bound).max())
-        max_cor = max(max_cor, a1[i].max() / (3 * np.sqrt(2 * np.pi) / np.sqrt(abs(k))))
+    nz = ks != 0
+    absk = np.abs(ks[nz])[:, None]
+    scales = np.arange(a0.shape[1])
+    bound = np.minimum(6 * 2.0 ** (scales / 2) / absk, 3 * np.pi * 2.0 ** (-scales / 2))
+    max_ratio = np.max(np.maximum(a0[nz], a1[nz]) / bound, initial=0.0)
+    max_cor = np.max(a1[nz] / (3 * np.sqrt(2 * np.pi) / np.sqrt(absk)), initial=0.0)
     return {"max_ratio": float(max_ratio), "max_corollary_ratio": float(max_cor)}

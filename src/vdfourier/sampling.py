@@ -78,8 +78,8 @@ class SamplingPlan:
             raise ValueError("freqs must be an (m, 2) array")
         if self.rho.shape != (self.freqs.shape[0],):
             raise ValueError("rho length must match the number of frequencies")
-        if np.any(self.rho <= 0):
-            raise ValueError("rho entries must be positive")
+        if not np.all(np.isfinite(self.rho) & (self.rho > 0)):
+            raise ValueError("rho entries must be finite and positive")
         lo, hi = -self.n // 2 + 1, self.n // 2
         if self.freqs.min() < lo or self.freqs.max() > hi:
             raise ValueError(f"plan frequencies outside [{lo}, {hi}]")
@@ -224,15 +224,14 @@ def _radial_lines(n, lines):
     return np.array(sorted(pts), dtype=int)
 
 
-def deterministic_mask(n, variant, m=None, lines=None, seed=0):
-    """Structured sampling plans: lowpass, radial lines, or uniform draws.
+def deterministic_mask(n, variant, m=None, lines=None):
+    """Structured sampling plans with rho = 1: lowpass or radial lines.
 
     ``lowest_frequencies``: the m frequencies of smallest k1^2 + k2^2, ties
-    broken by angle then storage index, with rho = 1.
+    broken by angle then storage index.
     ``radial_lines``: lattice points of ``lines`` equispaced-angle digital
-    lines through the origin, with rho = 1.
-    ``uniform_grid``: m i.i.d. uniform draws (a :func:`draw_plan` variant,
-    so rho = n follows from the uniform density).
+    lines through the origin.
+    For m i.i.d. uniform draws use ``draw_plan(density_uniform(n), m, seed)``.
     """
     if variant == "lowest_frequencies":
         if m is None or not 1 <= m <= n * n:
@@ -245,8 +244,4 @@ def deterministic_mask(n, variant, m=None, lines=None, seed=0):
         freqs = _radial_lines(n, lines)
         return SamplingPlan(n=n, freqs=freqs, rho=np.ones(len(freqs)),
                             density_label=f"radial:{lines}")
-    if variant == "uniform_grid":
-        if m is None or m < 1:
-            raise ValueError("uniform_grid requires m >= 1")
-        return draw_plan(density_uniform(n), m, seed)
     raise ValueError(f"unknown mask variant {variant!r}")

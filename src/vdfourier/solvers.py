@@ -46,10 +46,10 @@ _CHECK_EVERY = 50  # iterations between objective/violation checks
 class SolverOptions:
     """Iteration controls for the primal-dual solvers.
 
-    ``tau``/``sigma`` default to automatic steps from the closed-form bound
-    L on the stacked operator norm (3 for TV, sqrt(2) for Haar), with the
-    dual side favored by ``step_balance``; explicit steps must satisfy
-    tau * sigma * L**2 <= 1.
+    The primal and dual steps tau = 1/(step_balance*L) and
+    sigma = step_balance/L follow from the closed-form bound L on the
+    stacked operator norm (3 for TV, sqrt(2) for Haar), so tau*sigma*L**2 = 1;
+    ``step_balance`` sets how far the dual side is favored.
     ``epsilon`` is the noise level entering the constraint radius
     eps * sqrt(m).
     """
@@ -57,8 +57,6 @@ class SolverOptions:
     max_iters: int = 20000
     primal_tol: float = 1e-6
     dual_tol: float = 1e-6
-    tau: float | None = None
-    sigma: float | None = None
     noise_model: str = "unweighted"
     epsilon: float = 0.0
     step_balance: float = 10.0
@@ -153,17 +151,8 @@ def _solve(y, plan, opts, k1, k1t, lam):
         spec[lin] = sqw * z
         return dft2_inverse(spec.reshape(n, n))
 
-    if (opts.tau is None) != (opts.sigma is None):
-        raise ValueError("tau and sigma must be given together or both left automatic")
-    if opts.tau is not None:
-        tau, sig_base = opts.tau, opts.sigma
-        if tau * sig_base * lam**2 > 1.01:
-            raise ValueError(
-                f"tau*sigma*L^2 = {tau * sig_base * lam**2:.3g} exceeds 1 (L = {lam:.3g})"
-            )
-    else:
-        sig_base = opts.step_balance / lam
-        tau = 1.0 / (opts.step_balance * lam)
+    sig_base = opts.step_balance / lam
+    tau = 1.0 / (opts.step_balance * lam)
     sig_m = sig_base / w
 
     def objective(g):

@@ -83,8 +83,10 @@ def test_cmd_sample_uniform_duplicates_in_csv(tmp_path):
 
 
 def test_cmd_sample_invalid_density(tmp_path):
-    assert main(["sample", "--n", "8", "--density", "banana", "--m", "4",
-                 "--out", str(tmp_path / "x")]) == 2
+    for density in ("banana", "bogus", "power:-1", "power:nan", "radial:0"):
+        assert main(["sample", "--n", "8", "--density", density, "--m", "4",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,17 @@ def test_cmd_reconstruct_rejects_nan_eps(tmp_path):
     write_test_image(img_path, n=16)
     assert main(["reconstruct", "--image", str(img_path), "--density", "inv-square",
                  "--m", "100", "--eps", "nan", "--out", str(tmp_path / "rec")]) == 2
+    assert not (tmp_path / "rec").exists()
+
+
+def test_cmd_reconstruct_rejects_nonfinite_plan(tmp_path):
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    plan_path = tmp_path / "plan.csv"
+    plan_path.write_text("j,k1,k2,rho\n0,0,0,1.0\n1,1,2,nan\n")
+    assert main(["reconstruct", "--image", str(img_path), "--plan", str(plan_path),
+                 "--out", str(tmp_path / "rec")]) == 2
+    assert not (tmp_path / "rec").exists()
 
 
 def test_cmd_reconstruct_nonconvergence_exit_code(tmp_path):
@@ -234,6 +247,19 @@ def test_cmd_sweep_density_trend_64(tmp_path):
     assert np.mean(by_alpha[2.0]) < np.mean(by_alpha[0.0])
 
 
+def test_cmd_sweep_rejects_bad_input(tmp_path):
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    args = ["sweep", "--image", str(img_path), "--m", "60", "--out", str(tmp_path / "sw")]
+    for bad in (["--alphas=-1"], ["--alphas", "2", "--eps-list", "0,nan"]):
+        assert main(args + bad) == 2
+        assert not (tmp_path / "sw").exists()
+    with pytest.raises(SystemExit) as exc:  # sweep has no --eps; it reads --eps-list
+        main(args + ["--alphas", "2", "--eps", "0.1"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "sw").exists()
+
+
 def test_cmd_sweep_parallel_matches_serial(tmp_path):
     img_path = tmp_path / "in.pgm"
     write_test_image(img_path, n=16)
@@ -259,3 +285,4 @@ def test_cmd_verify_passes(tmp_path):
 
 def test_cmd_verify_rejects_large_n(tmp_path):
     assert main(["verify", "--n-list", "128", "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()

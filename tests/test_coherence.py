@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,17 @@ def test_bivariate_magnitude_factorizes_per_index(n):
             continue
         want = np.outer(tables[idx.e[0]][:, idx.n], tables[idx.e[1]][:, idx.n]).ravel()
         assert np.abs(gram[:, col] - want).max() < 1e-12
+
+
+def test_local_coherence_memory_is_quadratic():
+    n = 512
+    tracemalloc.start()
+    try:
+        local_coherence_exact(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n * 8
 
 
 def test_local_coherence_symmetries():

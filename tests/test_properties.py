@@ -1,4 +1,5 @@
-"""Property tests (hypothesis) for the dual-ball prox and the transforms."""
+"""Property tests (hypothesis) for the dual-ball prox, the transforms and the
+closed-form Fourier-Haar inner products."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vdfourier import transforms
+from vdfourier.coherence import (
+    _inner_1d,
+    coherence_tables_1d,
+    fourier_haar_inner_1d,
+    fourier_haar_inner_1d_direct,
+)
 from vdfourier.solvers import _prox_dual_ball
 from vdfourier.transforms import (
     dft2_forward,
@@ -96,3 +103,37 @@ def test_cached_phase_grids_are_read_only():
     for grid in transforms._phase_grids(8):
         with pytest.raises(ValueError):
             grid[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Haar inner products
+
+@PROPERTY
+@given(p=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(1, 6), cols=st.integers(1, 6))
+def test_inner_1d_broadcasts_to_direct_oracle(p, seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    size = 1 << p
+    ks = rng.integers(-size // 2 + 1, size // 2 + 1, (rows, 1))
+    es = rng.integers(0, 2, (1, cols))
+    scales = rng.integers(0, p, (1, cols))
+    shifts = (rng.random((1, cols)) * 2.0**scales).astype(int)
+    got = _inner_1d(p, ks, es, scales, shifts)
+    assert got.shape == (rows, cols)
+    for (i, j), val in np.ndenumerate(got):
+        want = fourier_haar_inner_1d_direct(p, int(ks[i, 0]), int(es[0, j]),
+                                            int(scales[0, j]), int(shifts[0, j]))
+        assert abs(val - want) <= 1e-12
+
+
+@PROPERTY
+@given(p=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_coherence_tables_match_scalar_inner_product(p, seed):
+    n = 1 << p
+    ks = freq_values(n)
+    tables = coherence_tables_1d(n)
+    for i in np.random.default_rng(seed).integers(0, n, 8):
+        for e in (0, 1):
+            for s in range(p):
+                want = abs(fourier_haar_inner_1d(p, int(ks[i]), e, s, 0))
+                assert abs(tables[e][i, s] - want) <= 1e-15

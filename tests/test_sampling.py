@@ -243,11 +243,13 @@ def test_radial_lines_rasterization_oracle():
     assert got == expected
 
 
-def test_uniform_grid_variant_matches_draw_plan():
-    a = deterministic_mask(8, "uniform_grid", m=20, seed=9)
-    b = draw_plan(density_uniform(8), 20, 9)
-    assert np.array_equal(a.freqs, b.freqs)
-    assert np.allclose(a.rho, 8.0)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_plan_rejects_bad_rho(bad):
+    rho = np.ones(3)
+    rho[1] = bad
+    with pytest.raises(ValueError, match="finite and positive"):
+        SamplingPlan(n=8, freqs=np.array([[0, 0], [1, 2], [-3, 4]]), rho=rho,
+                     density_label="bad")
 
 
 def test_mask_variant_errors():

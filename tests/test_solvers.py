@@ -202,11 +202,6 @@ def test_solver_option_validation():
         SolverOptions(noise_model="other")
     with pytest.raises(ValueError):
         SolverOptions(epsilon=-1.0)
-    n = 8
-    plan = draw_plan(density_inverse_square(n), 30, seed=7)
-    y = np.zeros(30, dtype=complex)
-    with pytest.raises(ValueError, match="tau"):
-        tv_min_reconstruct(y, plan, SolverOptions(tau=10.0, sigma=10.0))
 
 
 def test_solver_rejects_disagreeing_duplicates():
@@ -268,13 +263,3 @@ def test_solver_rejects_length_mismatch():
     plan = draw_plan(density_inverse_square(8), 30, seed=8)
     with pytest.raises(ValueError):
         tv_min_reconstruct(np.zeros(29, dtype=complex), plan)
-
-
-def test_explicit_steps_accepted():
-    n = 8
-    f = rect_phantom(n, seed=9, side=4)
-    plan = draw_plan(density_inverse_square(n), 40, seed=9)
-    y = partial_dft(f, plan)
-    g, report = tv_min_reconstruct(y, plan, SolverOptions(max_iters=4000, tau=0.02,
-                                                          sigma=0.5))
-    assert report.constraint_violation <= 1e-3
