@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 invalid input, 3 solver non-convergence,
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -377,7 +378,10 @@ def _add_common_solver_flags(sp):
 def build_parser():
     ap = argparse.ArgumentParser(prog="vdfourier",
                                  description="Variable-density Fourier compressive imaging")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # no abbreviations: a mistyped flag must not silently become another one
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=functools.partial(argparse.ArgumentParser,
+                                                           allow_abbrev=False))
 
     sp = sub.add_parser("coherence", help="exact coherence map and bound report")
     sp.add_argument("--n", type=int, required=True)
@@ -404,9 +408,7 @@ def build_parser():
     _add_common_solver_flags(sp)
     sp.set_defaults(func=cmd_reconstruct)
 
-    # no abbreviations: --eps would silently mean --eps-list
-    sp = sub.add_parser("sweep", help="error table over power-law exponents and noise",
-                        allow_abbrev=False)
+    sp = sub.add_parser("sweep", help="error table over power-law exponents and noise")
     sp.add_argument("--image", required=True)
     sp.add_argument("--alphas", required=True, help="comma list, e.g. 0,2,4,inf")
     sp.add_argument("--eps-list", default="0")

@@ -57,14 +57,6 @@ class GradientField:
         """All difference entries as one flat vector (dx entries first)."""
         return np.concatenate([self.dx.ravel(), self.dy.ravel()])
 
-    def padded(self):
-        """Zero-padded (n, n, 2) view of the field."""
-        n = self.n
-        out = np.zeros((n, n, 2), dtype=self.dx.dtype)
-        out[:-1, :, 0] = self.dx
-        out[:, :-1, 1] = self.dy
-        return out
-
 
 def gradient(f):
     """Discrete directional derivatives of an image.

@@ -5,24 +5,23 @@ Both programs minimize a seminorm subject to the weighted data-fit ball
     || rho o (F_Omega g - y) ||_2 <= eps * sqrt(m)        (weighted)
     ||        F_Omega g - y  ||_2 <= eps * sqrt(m)        (unweighted)
 
-via a first-order primal-dual splitting (PDHG). Repeated draws are merged
-first: with W_k the sum of rho_j^2 over the draws of frequency k and ybar_k
-their weighted mean, the ball becomes ||sqrt(W) o (F_K g - ybar)|| <=
-sqrt(r^2 - C) over the distinct frequencies K, where C is the weighted
-spread of the repeated samples about their means. Dual steps proportional
-to 1/W_k (diagonal preconditioning, Pock & Chambolle 2011) turn the
-measurement block into a partial isometry, so the step sizes follow from
-the closed-form operator norms sqrt(8 + 1) (TV) and sqrt(2) (Haar). The
-dual update is an l2-ball projection in a diagonal metric, solved by a
-scalar Newton iteration that starts from the previous iteration's root,
-clamped to a left bracket of the new one.
+via a first-order primal-dual splitting (PDHG, Chambolle & Pock 2011).
+Repeated draws are merged first: with W_k the sum of rho_j^2 over the draws
+of frequency k and ybar_k their weighted mean, the ball becomes
+||sqrt(W) o (F_K g - ybar)|| <= sqrt(r^2 - C) over the distinct frequencies
+K, where C is the weighted spread of the repeated samples about their means.
+The rows of F_K are orthonormal, so the projection onto that ball is one
+DFT pair plus a scalar Newton iteration in its multiplier. It closes every
+primal step, so every iterate is feasible, and the one dual block lives on
+the range of the gradient (TV) or the Haar transform, whose closed-form
+norms sqrt(8) and 1 set the step sizes.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .image_core import gradient_adjoint, lp_norm
+from .image_core import gradient, gradient_adjoint, lp_norm
 from .transforms import (
     dft2_forward,
     dft2_inverse,
@@ -47,11 +46,12 @@ class SolverOptions:
     """Iteration controls for the primal-dual solvers.
 
     The primal and dual steps tau = 1/(step_balance*L) and
-    sigma = step_balance/L follow from the closed-form bound L on the
-    stacked operator norm (3 for TV, sqrt(2) for Haar), so tau*sigma*L**2 = 1;
-    ``step_balance`` sets how far the dual side is favored.
-    ``epsilon`` is the noise level entering the constraint radius
-    eps * sqrt(m).
+    sigma = step_balance/L follow from the closed-form norm L of the
+    gradient (sqrt(8), TV) or the Haar transform (1), so tau*sigma*L**2 = 1;
+    ``step_balance`` sets how far the dual side is favored. The data ball
+    is met by projection, so ``dual_tol`` only scales the violation
+    tolerance that the stopping rule checks. ``epsilon`` is the noise level
+    entering the constraint radius eps * sqrt(m).
     """
 
     max_iters: int = 20000
@@ -75,45 +75,49 @@ class SolverReport:
     constraint_violation: float
     objective: float
     converged: bool
-    newton_steps: int  # Newton evaluations of phi in the dual-ball prox, summed
+    newton_steps: int  # Newton evaluations of phi in the data-ball projection, summed
 
 
-def _prox_dual_ball(v, sig, b, r, t):
-    """argmin_z r*||z|| + Re<b, z> + (1/2) * sum |z_j - v_j|^2 / sig_j.
+def _project_ball(v, lin, w, ybar, r, t):
+    """Euclidean projection of the image v onto {g : ||sqrt(w) o ((F g)[lin] - ybar)|| <= r}.
 
-    The dual prox of the indicator of the ball {w : ||w - b|| <= r} under the
-    diagonal step metric ``sig``: z = a*t/(t + r*sig) with a = v - sig*b and
-    t the root of phi(t) = sum |a_j|^2/(t + r*sig_j)^2 = 1 (z = 0 if phi(0) <= 1).
-    phi is convex decreasing and phi(lo) >= 1 at lo = max(||a|| - r*max(sig), 0).
-    Newton starts at max(t, lo) for a warm start ``t`` (the previous root):
-    from the right of the root one step lands at or left of it (clamped to
-    lo); from the left it converges monotonically. Returns ``(z, root, evals)``
-    (``t`` is passed through when no root is solved for).
+    F is unitary, so the unsampled spectrum is kept and, with a = (F v)[lin] - ybar,
+    (F g)[lin] = ybar + a/(1 + lam*w), lam the root of phi(lam) = sum w|a|^2/(1 + lam*w)^2
+    = r^2 (v itself if phi(0) <= r^2). phi is convex decreasing and phi(lo) >= r^2 at
+    lo = (sqrt(phi(0))/r - 1)/max(w). Newton starts at max(t, lo) for a warm start ``t``
+    (the previous root): from the right of the root one step lands at or left of it
+    (clamped to lo); from the left it converges monotonically. Returns ``(g, root,
+    evals)`` (``t`` is passed through when no root is solved for).
     """
-    a = v - sig * b
+    n = v.shape[0]
+    s = dft2_forward(v).ravel()
     if r == 0.0:
-        return a, t, 0
-    a2 = a.real**2 + a.imag**2
-    rs = r * sig
-    if np.sum(a2 / rs**2) <= 1.0:
-        return np.zeros_like(a), t, 0
-    lo = max(np.sqrt(a2.sum()) - rs.max(), 0.0)
+        s[lin] = ybar
+        return dft2_inverse(s.reshape(n, n)), t, 0
+    a = s[lin] - ybar
+    wa2 = w * (a.real**2 + a.imag**2) / r**2  # phi / r^2 at lam = 0, termwise
+    phi0 = wa2.sum()
+    if phi0 <= 1.0:
+        return v, t, 0
+    lo = (np.sqrt(phi0) - 1.0) / w.max()
     t = max(t, lo)
     for evals in range(1, 81):
-        inv = 1.0 / (t + rs)
-        a2inv2 = a2 * inv**2
-        phi = a2inv2.sum()
+        inv = 1.0 / (1.0 + t * w)
+        terms = wa2 * inv**2
+        phi = terms.sum()
         if abs(phi - 1.0) < 1e-13:
             break
-        t = max(t + (phi - 1.0) / (2.0 * np.dot(a2inv2, inv)), lo)
-    return a * (t / (t + rs)), t, evals
+        t = max(t + (phi - 1.0) / (2.0 * np.dot(terms, w * inv)), lo)
+    s[lin] = ybar + a / (1.0 + t * w)
+    return dft2_inverse(s.reshape(n, n)), t, evals
 
 
-def _solve(y, plan, opts, k1, k1t, lam):
+def _solve(y, plan, opts, k1, k1t, lip):
     """PDHG for min ||k1(g)||_1 s.t. ||d o (F_Omega g - y)|| <= eps*sqrt(m).
 
-    ``lam`` bounds the norm of the stacked operator [k1; preconditioned
-    measurement], i.e. sqrt(||k1||**2 + 1).
+    The dual variable lives on the range of ``k1``, whose norm is at most
+    ``lip``; the primal step ends with the projection onto the data ball, so
+    every iterate is feasible.
     """
     y = np.asarray(y, dtype=np.complex128).ravel()
     if y.size != plan.m:
@@ -138,50 +142,34 @@ def _solve(y, plan, opts, k1, k1t, lam):
             f"repeated samples disagree by {np.sqrt(spread):.6g}, more than the "
             f"data-fit radius {radius:.6g} allows"
         )
-    sqw = np.sqrt(w)
-    b = sqw * ybar
     radius_distinct = np.sqrt(max(radius**2 - spread, 0.0))
 
-    def measure(g):
-        return sqw * dft2_forward(g).ravel()[lin]
-
-    spec = np.zeros(n * n, dtype=np.complex128)  # only spec[lin] is ever written
-
-    def measure_adjoint(z):
-        spec[lin] = sqw * z
-        return dft2_inverse(spec.reshape(n, n))
-
-    sig_base = opts.step_balance / lam
-    tau = 1.0 / (opts.step_balance * lam)
-    sig_m = sig_base / w
+    sigma = opts.step_balance / lip
+    tau = 1.0 / (opts.step_balance * lip)
 
     def objective(g):
         return sum(lp_norm(part, 1) for part in k1(g))
 
     def violation(g):
-        fit2 = float(np.linalg.norm(measure(g) - b)) ** 2
+        fit2 = float(np.sum(w * np.abs(dft2_forward(g).ravel()[lin] - ybar) ** 2))
         return max(0.0, np.sqrt(fit2 + spread) - radius)
 
-    g = np.zeros((n, n), dtype=np.complex128)
+    g, t_ball, newton_steps = _project_ball(np.zeros((n, n), dtype=np.complex128), lin, w,
+                                            ybar, radius_distinct, 0.0)
     gbar = g
     q = tuple(np.zeros_like(part) for part in k1(g))
-    z = np.zeros(lin.size, dtype=np.complex128)
-    t_ball = 0.0  # root of the last dual-ball prox, its next warm start
-    newton_steps = 0
 
     obj_prev = objective(g)
     rel_change = np.inf
-    viol = violation(g)
     converged = False
     it = 0
     for it in range(1, opts.max_iters + 1):
-        q = tuple(qi + sig_base * pi for qi, pi in zip(q, k1(gbar)))
+        q = tuple(qi + sigma * pi for qi, pi in zip(q, k1(gbar)))
         q = tuple(u / np.maximum(1.0, np.abs(u)) for u in q)
-        z, t_ball, evals = _prox_dual_ball(z + sig_m * measure(gbar), sig_m, b,
-                                           radius_distinct, t_ball)
-        newton_steps += evals
         g_old = g
-        g = g - tau * (k1t(q) + measure_adjoint(z))
+        g, t_ball, evals = _project_ball(g - tau * k1t(q), lin, w, ybar, radius_distinct,
+                                         t_ball)
+        newton_steps += evals
         gbar = 2 * g - g_old
         if it % _CHECK_EVERY == 0:
             obj = objective(g)
@@ -212,12 +200,13 @@ def tv_min_reconstruct(y, plan, opts=None):
     opts = opts or SolverOptions()
 
     def k1(g):
-        return (g[1:, :] - g[:-1, :], g[:, 1:] - g[:, :-1])
+        grad = gradient(g)
+        return (grad.dx, grad.dy)
 
     def k1t(q):
         return gradient_adjoint(q[0], q[1])
 
-    return _solve(y, plan, opts, k1, k1t, 3.0)  # ||grad||^2 <= 8
+    return _solve(y, plan, opts, k1, k1t, np.sqrt(8.0))  # ||grad||^2 <= 8
 
 
 def l1_haar_reconstruct(y, plan, opts=None):
@@ -230,7 +219,7 @@ def l1_haar_reconstruct(y, plan, opts=None):
     def k1t(q):
         return haar_inverse(q[0])
 
-    return _solve(y, plan, opts, k1, k1t, np.sqrt(2.0))  # Haar is unitary
+    return _solve(y, plan, opts, k1, k1t, 1.0)  # Haar is unitary
 
 
 def add_noise(clean, plan, eps, model="weighted", seed=0):

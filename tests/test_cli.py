@@ -156,6 +156,11 @@ def test_cmd_reconstruct_rejects_nan_eps(tmp_path):
     assert main(["reconstruct", "--image", str(img_path), "--density", "inv-square",
                  "--m", "100", "--eps", "nan", "--out", str(tmp_path / "rec")]) == 2
     assert not (tmp_path / "rec").exists()
+    with pytest.raises(SystemExit) as exc:  # --dens is not read as --density
+        main(["reconstruct", "--image", str(img_path), "--dens", "inv-square",
+              "--m", "100", "--out", str(tmp_path / "rec")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "rec").exists()
 
 
 def test_cmd_reconstruct_rejects_nonfinite_plan(tmp_path):
@@ -285,4 +290,8 @@ def test_cmd_verify_passes(tmp_path):
 
 def test_cmd_verify_rejects_large_n(tmp_path):
     assert main(["verify", "--n-list", "128", "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(SystemExit) as exc:  # --n is not read as --n-list
+        main(["verify", "--n", "4", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
     assert not (tmp_path / "x").exists()

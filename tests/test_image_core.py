@@ -47,14 +47,6 @@ def test_gradient_matches_oracle():
     assert np.array_equal(field.dy, dy)
 
 
-def test_gradient_padded_view():
-    rng = np.random.default_rng(12)
-    f = rng.standard_normal((4, 4))
-    padded = gradient(f).padded()
-    assert padded.shape == (4, 4, 2)
-    assert np.all(padded[-1, :, 0] == 0) and np.all(padded[:, -1, 1] == 0)
-
-
 def test_gradient_adjoint_identity():
     rng = np.random.default_rng(13)
     n = 8

@@ -1,5 +1,5 @@
-"""Property tests (hypothesis) for the dual-ball prox, the transforms and the
-closed-form Fourier-Haar inner products."""
+"""Property tests (hypothesis) for the data-ball projection, the transforms
+and the closed-form Fourier-Haar inner products."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from vdfourier.coherence import (
     fourier_haar_inner_1d,
     fourier_haar_inner_1d_direct,
 )
-from vdfourier.solvers import _prox_dual_ball
+from vdfourier.solvers import _project_ball
 from vdfourier.transforms import (
     dft2_forward,
     dft2_inverse,
@@ -32,33 +32,49 @@ def random_complex(seed, shape, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# dual-ball prox
+# data-ball projection
 
 @PROPERTY
 @given(
-    size=st.integers(1, 40),
+    p=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
-    r=st.floats(1e-2, 1e2),
-    sig_spread=st.floats(0.0, 4.0),
+    draws=st.floats(0.1, 2.0),
+    w_spread=st.floats(0.0, 4.0),
     v_scale=st.floats(1e-2, 1e2),
+    r_frac=st.one_of(st.just(0.0), st.floats(1e-2, 2.0)),
 )
-def test_prox_warm_start_matches_cold_start(size, seed, r, sig_spread, v_scale):
+def test_project_ball_is_the_warm_startable_projection(p, seed, draws, w_spread, v_scale,
+                                                       r_frac):
+    n = 1 << p
     rng = np.random.default_rng(seed)
-    sig = 10.0 ** rng.uniform(-sig_spread / 2, sig_spread / 2, size)  # non-uniform metric
-    v = random_complex(seed + 1, size, v_scale)
-    b = random_complex(seed + 2, size)
-    z_cold, root, _ = _prox_dual_ball(v, sig, b, r, 0.0)
+    # a plan with repeated frequencies, merged as the solvers merge it
+    idx = rng.integers(0, n * n, max(1, int(draws * n * n)))
+    lin, inv = np.unique(idx, return_inverse=True)
+    w = np.bincount(inv, weights=10.0 ** rng.uniform(-w_spread / 2, w_spread / 2, idx.size))
+    ybar = random_complex(seed + 1, lin.size)
+    v = random_complex(seed + 2, (n, n), v_scale)
+    u = random_complex(seed + 3, (n, n), v_scale)
+
+    def dist(g):
+        return np.linalg.norm(np.sqrt(w) * (dft2_forward(g).ravel()[lin] - ybar))
+
+    r = r_frac * dist(v)
+    pv, root, _ = _project_ball(v, lin, w, ybar, r, 0.0)
     for t0 in (1e-3 * root, 10.0 * root, 1e6):
-        z_warm, root_warm, evals = _prox_dual_ball(v, sig, b, r, t0)
+        warm, _, evals = _project_ball(v, lin, w, ybar, r, t0)
         assert evals < 80
-        assert np.linalg.norm(z_warm - z_cold) <= 1e-10 * max(np.linalg.norm(z_cold), 1e-300)
-    # optimality: 0 in r * d||z|| + b + (z - v) / sig
-    scale = r + np.linalg.norm(v / sig) + np.linalg.norm(b)
-    if np.any(z_cold):
-        grad = r * z_cold / np.linalg.norm(z_cold) + b + (z_cold - v) / sig
-        assert np.linalg.norm(grad) <= 1e-9 * scale
-    else:
-        assert np.linalg.norm(v / sig - b) <= r * (1 + 1e-12)
+        assert np.linalg.norm(warm - pv) <= 1e-10 * np.linalg.norm(pv)
+    scale = np.linalg.norm(v) + np.linalg.norm(np.sqrt(w) * ybar)
+    assert dist(pv) <= r + 1e-12 * (r if r > 0 else scale)
+    # optimality: v - Pv is normal to the ball at Pv
+    h, _, _ = _project_ball(u, lin, w, ybar, r, 0.0)
+    normal = np.vdot(v - pv, h - pv).real
+    assert normal <= 1e-10 * np.linalg.norm(v) * np.linalg.norm(h)
+    again, _, _ = _project_ball(pv, lin, w, ybar, r, root)
+    assert np.linalg.norm(again - pv) <= 1e-12 * scale
+    if r > 0:  # a point strictly inside comes back untouched
+        inside, _, _ = _project_ball(v, lin, w, ybar, r / 2, 0.0)
+        assert _project_ball(inside, lin, w, ybar, r, 0.0)[0] is inside
 
 
 # ---------------------------------------------------------------------------
