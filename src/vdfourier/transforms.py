@@ -33,6 +33,9 @@ __all__ = [
     "haar_inverse",
     "dft2_forward",
     "dft2_inverse",
+    "fft2_unphased",
+    "ifft2_unphased",
+    "sampled_phase",
     "partial_dft",
     "partial_dft_adjoint",
 ]
@@ -219,6 +222,21 @@ def dft2_inverse(spec):
     """Inverse (= adjoint) of :func:`dft2_forward`."""
     spec = np.asarray(spec, dtype=np.complex128)
     return np.fft.ifft2(spec * _phase_grids(spec.shape[0])[1], norm="ortho")
+
+
+def fft2_unphased(f):
+    """:func:`dft2_forward` without its phase: times ``sampled_phase(n, lin)`` at ``lin``."""
+    return np.fft.fft2(f, norm="ortho")
+
+
+def ifft2_unphased(spec):
+    """Inverse (= adjoint) of :func:`fft2_unphased`."""
+    return np.fft.ifft2(spec, norm="ortho")
+
+
+def sampled_phase(n, lin):
+    """The t = index + 1 phase of :func:`dft2_forward` at the flat storage positions ``lin``."""
+    return _phase_grids(n)[0].ravel()[lin]
 
 
 def plan_storage_indices(plan, n):

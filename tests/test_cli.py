@@ -163,6 +163,20 @@ def test_cmd_reconstruct_rejects_nan_eps(tmp_path):
     assert not (tmp_path / "rec").exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--primal-tol", "nan", "primal_tol"), ("--max-iters", "-5", "max_iters"),
+    ("--dual-tol", "-1", "dual_tol"),
+])
+def test_cmd_reconstruct_rejects_bad_solver_options(tmp_path, capsys, flag, value, field):
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    assert main(["reconstruct", "--image", str(img_path), "--density", "inv-square",
+                 "--m", "100", "--eps", "0.1", "--max-iters", "300", flag, value,
+                 "--out", str(tmp_path / "rec")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "rec").exists()
+
+
 def test_cmd_reconstruct_rejects_nonfinite_plan(tmp_path):
     img_path = tmp_path / "in.pgm"
     write_test_image(img_path, n=16)

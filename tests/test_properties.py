@@ -1,5 +1,5 @@
-"""Property tests (hypothesis) for the data-ball projection, the transforms
-and the closed-form Fourier-Haar inner products."""
+"""Property tests (hypothesis) for the data-ball projection, the transforms,
+the partial DFT and the closed-form Fourier-Haar inner products."""
 
 import numpy as np
 import pytest
@@ -13,14 +13,20 @@ from vdfourier.coherence import (
     fourier_haar_inner_1d,
     fourier_haar_inner_1d_direct,
 )
+from vdfourier.sampling import SamplingPlan
 from vdfourier.solvers import _project_ball
 from vdfourier.transforms import (
     dft2_forward,
     dft2_inverse,
+    fft2_unphased,
     freq_values,
     haar_forward,
     haar_inverse,
     haar_matrix,
+    ifft2_unphased,
+    partial_dft,
+    partial_dft_adjoint,
+    sampled_phase,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -119,6 +125,37 @@ def test_cached_phase_grids_are_read_only():
     for grid in transforms._phase_grids(8):
         with pytest.raises(ValueError):
             grid[0, 0] = 0.0
+
+
+@PROPERTY
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 300))
+def test_unphased_fft_pair_with_sampled_phase_is_dft2(p, seed, draws):
+    n = 1 << p
+    f = random_complex(seed, (n, n))
+    lin = np.random.default_rng(seed + 1).integers(0, n * n, draws)  # repeats allowed
+    spec = fft2_unphased(f)
+    got = spec.ravel()[lin] * sampled_phase(n, lin)
+    np.testing.assert_allclose(got, dft2_forward(f).ravel()[lin], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ifft2_unphased(spec), f, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fft2_unphased(ifft2_unphased(f)), f, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(p=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), draws=st.floats(0.05, 2.0),
+       repeats=st.integers(1, 4))
+def test_partial_dft_adjoint_identity_with_repeated_frequencies(p, seed, draws, repeats):
+    n = 1 << p
+    rng = np.random.default_rng(seed)
+    freqs = rng.integers(-n // 2 + 1, n // 2 + 1, (max(1, int(draws * n * n)), 2))
+    freqs = np.concatenate([freqs] * repeats + [freqs[: 1 + len(freqs) // 2]])
+    plan = SamplingPlan(n=n, freqs=freqs, rho=rng.uniform(0.5, 2.0, len(freqs)),
+                        density_label="random")
+    assert len(np.unique(freqs, axis=0)) < plan.m
+    g = random_complex(seed + 1, (n, n))
+    y = random_complex(seed + 2, plan.m)
+    lhs = np.vdot(partial_dft(g, plan), y)
+    rhs = np.vdot(g, partial_dft_adjoint(y, plan, n))
+    assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
 # ---------------------------------------------------------------------------

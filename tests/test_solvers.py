@@ -248,6 +248,16 @@ def test_solver_options_reject_nonfinite_epsilon(eps):
         SolverOptions(epsilon=eps)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", 0), ("max_iters", -5), ("max_iters", 2.5), ("max_iters", "300"),
+    ("primal_tol", np.nan), ("primal_tol", 0.0), ("dual_tol", -1.0), ("dual_tol", np.inf),
+    ("step_balance", 0.0), ("step_balance", -np.inf), ("step_balance", np.nan),
+])
+def test_solver_options_reject_bad_iteration_controls(field, value):
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: value})
+
+
 def test_newton_steps_counts_prox_work():
     n = 16
     f = rect_phantom(n, seed=7, side=6)
