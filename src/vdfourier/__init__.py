@@ -17,7 +17,6 @@ from .coherence import (
     univariate_coherence_bound_check,
 )
 from .image_core import (
-    GradientField,
     best_s_term_error,
     gradient,
     hard_threshold,

@@ -289,6 +289,9 @@ def cmd_sweep(args):
     alphas = [_parse_density_spec(f"power:{a}")[1] for a in args.alphas.split(",")]
     eps_list = [float(e) for e in args.eps_list.split(",")]
     opts_list = [_solver_options(args, eps) for eps in eps_list]
+    for flag in ("trials", "m", "jobs"):
+        if getattr(args, flag) < 1:
+            raise CliError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     out = _make_out(args.out)
 
     tasks = []

@@ -5,14 +5,11 @@ Images are square complex arrays of side ``n = 2**p`` with row index ``t1``
 with zero imaginary part.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "as_image",
     "gradient",
-    "GradientField",
     "tv_norm",
     "lp_norm",
     "hard_threshold",
@@ -38,34 +35,15 @@ def as_image(pixels):
     return f.astype(np.complex128, copy=False)
 
 
-@dataclass(frozen=True, eq=False)
-class GradientField:
-    """Forward differences of an image, stored compactly.
+def gradient(f):
+    """Discrete directional derivatives of an image: the pair ``(dx, dy)``.
 
+    Forward differences with no wraparound, so a constant image maps to zeros:
     ``dx`` has shape (n-1, n) with dx[t1, t2] = f[t1+1, t2] - f[t1, t2];
     ``dy`` has shape (n, n-1) with dy[t1, t2] = f[t1, t2+1] - f[t1, t2].
     """
-
-    dx: np.ndarray
-    dy: np.ndarray
-
-    @property
-    def n(self):
-        return self.dx.shape[1]
-
-    def ravel(self):
-        """All difference entries as one flat vector (dx entries first)."""
-        return np.concatenate([self.dx.ravel(), self.dy.ravel()])
-
-
-def gradient(f):
-    """Discrete directional derivatives of an image.
-
-    Returns a :class:`GradientField` with forward differences along both
-    axes; no wraparound, so a constant image maps to the zero field.
-    """
     f = as_image(f)
-    return GradientField(dx=f[1:, :] - f[:-1, :], dy=f[:, 1:] - f[:, :-1])
+    return f[1:, :] - f[:-1, :], f[:, 1:] - f[:, :-1]
 
 
 def gradient_adjoint(dx, dy):
@@ -81,7 +59,7 @@ def gradient_adjoint(dx, dy):
 
 def tv_norm(f):
     """Anisotropic total variation: the l1 norm of the discrete gradient."""
-    return lp_norm(gradient(f).ravel(), 1)
+    return lp_norm(np.concatenate([part.ravel() for part in gradient(f)]), 1)
 
 
 def lp_norm(x, p):

@@ -10,11 +10,13 @@ Condat (2013). Repeated draws are merged first: with W_k the sum of rho_j^2
 over the draws of frequency k and ybar_k their weighted mean, the ball becomes
 ||sqrt(W) o (F_K g - ybar)|| <= sqrt(r^2 - C) over the distinct frequencies K,
 where C is the weighted spread of the repeated samples about their means. The
-rows of F_K are orthonormal, so the projection onto that ball is one DFT pair
-plus a scalar Newton iteration in its multiplier. It closes every primal step,
-so every reported iterate is feasible (the relaxed one may leave the ball if
-eps > 0), and the one dual block lives on the range of the gradient (TV) or the
-Haar transform, whose closed-form norms sqrt(8) and 1 set the step sizes.
+rows of F_K are orthonormal, so the projection onto that ball is one FFT pair
+plus a scalar Newton iteration in its multiplier; the merged data are rotated
+into the FFT's frame once per solve, so it applies no phase. It closes every
+primal step, so every reported iterate is feasible (the relaxed one may leave
+the ball if eps > 0), and the one dual block lives on the range of the gradient
+(TV) or the Haar transform, whose closed-form norms sqrt(8) and 1 set the step
+sizes.
 """
 
 from dataclasses import dataclass
@@ -95,15 +97,14 @@ def _project_ball(v, lin, w, ybar, r, t):
     lo = (sqrt(phi(0))/r - 1)/max(w). Newton starts at max(t, lo) for a warm start ``t``
     (the previous root): from the right of the root one step lands at or left of it
     (clamped to lo); from the left it converges monotonically. Returns ``(g, root,
-    evals)`` (``t`` is passed through when no root is solved for).
+    evals)`` (``t`` is passed through when no root is solved for). F is the unphased FFT
+    ``fft2_unphased``: ``ybar`` is given in its frame, so no phase is applied here.
     """
-    n = v.shape[0]
     s = fft2_unphased(v).ravel()
-    ph = sampled_phase(n, lin)  # the DFT phase, applied on the m sampled entries only
     if r == 0.0:
-        s[lin] = ybar * ph.conj()
-        return ifft2_unphased(s.reshape(n, n)), t, 0
-    a = s[lin] * ph - ybar
+        s[lin] = ybar
+        return ifft2_unphased(s.reshape(v.shape)), t, 0
+    a = s[lin] - ybar
     wa2 = w * (a.real**2 + a.imag**2) / r**2  # phi / r^2 at lam = 0, termwise
     phi0 = wa2.sum()
     if phi0 <= 1.0:
@@ -117,8 +118,8 @@ def _project_ball(v, lin, w, ybar, r, t):
         if abs(phi - 1.0) < 1e-13:
             break
         t = max(t + (phi - 1.0) / (2.0 * np.dot(terms, w * inv)), lo)
-    s[lin] = (ybar + a / (1.0 + t * w)) * ph.conj()
-    return ifft2_unphased(s.reshape(n, n)), t, evals
+    s[lin] = ybar + a / (1.0 + t * w)
+    return ifft2_unphased(s.reshape(v.shape)), t, evals
 
 
 def _solve(y, plan, opts, k1, k1t, lip):
@@ -127,7 +128,9 @@ def _solve(y, plan, opts, k1, k1t, lip):
     The dual q lives on the range of ``k1`` (norm <= ``lip``). An iteration sets
     gt = P_C(g - tau*k1t(q)) (P_C: data-ball projection), qt = clip(q + sigma*k1(2*gt - g)),
     and (g, q) += _RELAX*(gt - g, qt - q). Checks, report and result use the feasible gt;
-    the relaxed anchor g may leave the ball when eps > 0.
+    the relaxed anchor g may leave the ball when eps > 0. The merged means are rotated
+    once into the frame of the unphased FFT, where P_C works; the violation check
+    measures with the phased ``dft2_forward`` instead, independently of P_C.
     """
     y = np.asarray(y, dtype=np.complex128).ravel()
     if y.size != plan.m:
@@ -140,7 +143,7 @@ def _solve(y, plan, opts, k1, k1t, lip):
 
     # merge repeated draws: sum_j d_j^2 |x_k(j) - y_j|^2
     #   = sum_k w_k |x_k - ybar_k|^2 + spread
-    i1, i2 = plan_storage_indices(plan, n)
+    i1, i2 = plan_storage_indices(plan)
     lin, inv = np.unique(i1 * n + i2, return_inverse=True)
     d2 = plan.rho.astype(float) ** 2 if opts.noise_model == "weighted" else np.ones(plan.m)
     w = np.bincount(inv, weights=d2)
@@ -153,6 +156,7 @@ def _solve(y, plan, opts, k1, k1t, lip):
             f"data-fit radius {radius:.6g} allows"
         )
     radius_distinct = np.sqrt(max(radius**2 - spread, 0.0))
+    ybar_u = ybar * sampled_phase(n, lin).conj()  # the means in the fft2_unphased frame
 
     sigma = opts.step_balance / lip
     tau = 1.0 / (opts.step_balance * lip)
@@ -165,14 +169,14 @@ def _solve(y, plan, opts, k1, k1t, lip):
         return max(0.0, np.sqrt(fit2 + spread) - radius)
 
     g, t_ball, newton_steps = _project_ball(np.zeros((n, n), dtype=np.complex128), lin, w,
-                                            ybar, radius_distinct, 0.0)
+                                            ybar_u, radius_distinct, 0.0)
     q = tuple(np.zeros_like(part) for part in k1(g))
 
     obj_prev = objective(g)
     rel_change = np.inf
     converged = False
     for it in range(1, opts.max_iters + 1):
-        gt, t_ball, evals = _project_ball(g - tau * k1t(q), lin, w, ybar, radius_distinct,
+        gt, t_ball, evals = _project_ball(g - tau * k1t(q), lin, w, ybar_u, radius_distinct,
                                           t_ball)
         newton_steps += evals
         for qi, kg in zip(q, k1(2 * gt - g)):
@@ -206,14 +210,10 @@ def tv_min_reconstruct(y, plan, opts=None):
     """
     opts = opts or SolverOptions()
 
-    def k1(g):
-        grad = gradient(g)
-        return (grad.dx, grad.dy)
-
     def k1t(q):
         return gradient_adjoint(q[0], q[1])
 
-    return _solve(y, plan, opts, k1, k1t, np.sqrt(8.0))  # ||grad||^2 <= 8
+    return _solve(y, plan, opts, gradient, k1t, np.sqrt(8.0))  # ||grad||^2 <= 8
 
 
 def l1_haar_reconstruct(y, plan, opts=None):

@@ -6,7 +6,10 @@ Frequencies live on the grid ``{-n/2+1, ..., n/2}^2`` and are stored in
 arrays at position ``(k1 % n, k2 % n)``, matching standard FFT layout.
 The Fourier atom is ``phi_k(t) = exp(2j*pi*t*k/n) / sqrt(n)`` evaluated at
 ``t = 1..n`` (pixel index + 1), so transform coefficients are
-``<phi_k, f> = sum_t conj(phi_k(t)) f(t)``, linear in ``f``.
+``<phi_k, f> = sum_t conj(phi_k(t)) f(t)``, linear in ``f``. Since t = index + 1
+is a cyclic shift by one pixel, :func:`dft2_forward` is the orthonormal FFT of
+``np.roll(f, 1, axis=(0, 1))``: one FFT pair serves both frames, and the shift
+is the phase :func:`sampled_phase` on the spectrum.
 
 Haar atoms are indexed by orientation ``e``, dyadic scale ``n`` and shift
 ``l``; the coefficient vector is ordered constant-first, then by ascending
@@ -14,7 +17,6 @@ scale with orientation blocks (0,1), (1,0), (1,1), each shift-row-major.
 With that ordering the scale-``n`` block occupies ``[4**n, 4**(n+1))``.
 """
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -199,33 +201,24 @@ def haar_inverse(w):
 # ---------------------------------------------------------------------------
 # Fourier transforms
 
-@functools.lru_cache(maxsize=8)
-def _phase_grids(n):
-    """Forward and inverse (n, n) phases of the t = index + 1 atoms.
-
-    Built once per n; every caller shares them, so they are read-only.
-    """
-    ph = np.exp(-2j * np.pi * np.arange(n) / n)
-    grids = (np.outer(ph, ph), np.outer(ph.conj(), ph.conj()))
-    for grid in grids:
-        grid.flags.writeable = False
-    return grids
-
-
 def dft2_forward(f):
-    """Orthonormal 2-D DFT; entry (k1 % n, k2 % n) equals <phi_{k1,k2}, f>."""
-    f = as_image(f)
-    return np.fft.fft2(f, norm="ortho") * _phase_grids(f.shape[0])[0]
+    """Orthonormal 2-D DFT; entry (k1 % n, k2 % n) equals <phi_{k1,k2}, f>.
+
+    The t = index + 1 atoms make it the FFT of f shifted by one pixel along each axis.
+    """
+    return fft2_unphased(np.roll(as_image(f), 1, axis=(0, 1)))
 
 
 def dft2_inverse(spec):
     """Inverse (= adjoint) of :func:`dft2_forward`."""
-    spec = np.asarray(spec, dtype=np.complex128)
-    return np.fft.ifft2(spec * _phase_grids(spec.shape[0])[1], norm="ortho")
+    return np.roll(ifft2_unphased(np.asarray(spec, dtype=np.complex128)), -1, axis=(0, 1))
 
 
 def fft2_unphased(f):
-    """:func:`dft2_forward` without its phase: times ``sampled_phase(n, lin)`` at ``lin``."""
+    """Orthonormal FFT: :func:`dft2_forward` without the one-pixel shift.
+
+    At the flat storage positions ``lin`` the two differ by the factor ``sampled_phase(n, lin)``.
+    """
     return np.fft.fft2(f, norm="ortho")
 
 
@@ -235,32 +228,39 @@ def ifft2_unphased(spec):
 
 
 def sampled_phase(n, lin):
-    """The t = index + 1 phase of :func:`dft2_forward` at the flat storage positions ``lin``."""
-    return _phase_grids(n)[0].ravel()[lin]
+    """Phase exp(-2j*pi*(i1 + i2)/n) of the one-pixel shift at flat storage positions i1*n + i2.
+
+    ``dft2_forward(f).ravel()[lin]`` equals
+    ``fft2_unphased(f).ravel()[lin] * sampled_phase(n, lin)``.
+    """
+    return np.exp(-2j * np.pi * (lin // n + lin % n) / n)
 
 
-def plan_storage_indices(plan, n):
-    """Storage positions of a plan's frequencies on the n x n grid."""
-    return freq_to_index(plan.freqs[:, 0], plan.freqs[:, 1], n)
+def plan_storage_indices(plan):
+    """Storage positions of a plan's frequencies on its n x n grid."""
+    return freq_to_index(plan.freqs[:, 0], plan.freqs[:, 1], plan.n)
 
 
 def partial_dft(f, plan):
     """Fourier measurements of an image at a plan's frequencies.
 
     Duplicate frequencies produce repeated entries; the output is the
-    row-subsample of :func:`dft2_forward` selected by the plan.
+    row-subsample of :func:`dft2_forward` selected by the plan. The image
+    side must be the plan's n.
     """
     f = as_image(f)
-    i1, i2 = plan_storage_indices(plan, f.shape[0])
-    return dft2_forward(f)[i1, i2]
+    if f.shape[0] != plan.n:
+        raise ValueError(f"image side {f.shape[0]} != plan.n = {plan.n}")
+    return dft2_forward(f)[plan_storage_indices(plan)]
 
 
-def partial_dft_adjoint(y, plan, n):
+def partial_dft_adjoint(y, plan):
     """Adjoint of :func:`partial_dft`; duplicate frequencies accumulate."""
     y = np.asarray(y, dtype=np.complex128).ravel()
     if y.size != plan.m:
         raise ValueError(f"measurement length {y.size} != plan.m = {plan.m}")
-    i1, i2 = plan_storage_indices(plan, n)
+    n = plan.n
+    i1, i2 = plan_storage_indices(plan)
     lin = i1 * n + i2
     spec = np.bincount(lin, weights=y.real, minlength=n * n) + 1j * np.bincount(
         lin, weights=y.imag, minlength=n * n

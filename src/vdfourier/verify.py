@@ -118,8 +118,10 @@ def build_preconditioned_matrix(plan, n):
     """
     if n > 16:
         raise ValueError(f"dense materialization limited to n <= 16, got {n}")
+    if n != plan.n:
+        raise ValueError(f"n = {n} != plan.n = {plan.n}")
     p = n.bit_length() - 1
-    i1, i2 = plan_storage_indices(plan, n)
+    i1, i2 = plan_storage_indices(plan)
     cols = [dft2_forward(haar_atom_2d(p, idx))[i1, i2] for idx in haar_indices(p)]
     return (plan.rho[:, None] / np.sqrt(plan.m)) * np.stack(cols, axis=1)
 

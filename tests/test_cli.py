@@ -270,7 +270,9 @@ def test_cmd_sweep_rejects_bad_input(tmp_path):
     img_path = tmp_path / "in.pgm"
     write_test_image(img_path, n=16)
     args = ["sweep", "--image", str(img_path), "--m", "60", "--out", str(tmp_path / "sw")]
-    for bad in (["--alphas=-1"], ["--alphas", "2", "--eps-list", "0,nan"]):
+    for bad in (["--alphas=-1"], ["--alphas", "2", "--eps-list", "0,nan"],
+                ["--alphas", "2", "--trials", "0"], ["--alphas", "2", "--trials", "-2"],
+                ["--alphas", "2", "--m", "0"], ["--alphas", "2", "--jobs", "0"]):
         assert main(args + bad) == 2
         assert not (tmp_path / "sw").exists()
     with pytest.raises(SystemExit) as exc:  # sweep has no --eps; it reads --eps-list

@@ -1,18 +1,18 @@
 """Property tests (hypothesis) for the data-ball projection, the transforms,
-the partial DFT and the closed-form Fourier-Haar inner products."""
+the partial DFT, the closed-form Fourier-Haar inner products and PGM round trips."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from vdfourier import transforms
 from vdfourier.coherence import (
     _inner_1d,
     coherence_tables_1d,
     fourier_haar_inner_1d,
     fourier_haar_inner_1d_direct,
 )
+from vdfourier.pgm import read_pgm, write_pgm
 from vdfourier.sampling import SamplingPlan
 from vdfourier.solvers import _project_ball
 from vdfourier.transforms import (
@@ -62,7 +62,7 @@ def test_project_ball_is_the_warm_startable_projection(p, seed, draws, w_spread,
     u = random_complex(seed + 3, (n, n), v_scale)
 
     def dist(g):
-        return np.linalg.norm(np.sqrt(w) * (dft2_forward(g).ravel()[lin] - ybar))
+        return np.linalg.norm(np.sqrt(w) * (fft2_unphased(g).ravel()[lin] - ybar))
 
     r = r_frac * dist(v)
     pv, root, _ = _project_ball(v, lin, w, ybar, r, 0.0)
@@ -121,12 +121,6 @@ def test_dft2_matches_oracle_across_cached_sizes(sides, seed):
         np.testing.assert_allclose(dft2_inverse(dft2_forward(f)), f, atol=1e-12)
 
 
-def test_cached_phase_grids_are_read_only():
-    for grid in transforms._phase_grids(8):
-        with pytest.raises(ValueError):
-            grid[0, 0] = 0.0
-
-
 @PROPERTY
 @given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 300))
 def test_unphased_fft_pair_with_sampled_phase_is_dft2(p, seed, draws):
@@ -154,7 +148,7 @@ def test_partial_dft_adjoint_identity_with_repeated_frequencies(p, seed, draws, 
     g = random_complex(seed + 1, (n, n))
     y = random_complex(seed + 2, plan.m)
     lhs = np.vdot(partial_dft(g, plan), y)
-    rhs = np.vdot(g, partial_dft_adjoint(y, plan, n))
+    rhs = np.vdot(g, partial_dft_adjoint(y, plan))
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
@@ -190,3 +184,19 @@ def test_coherence_tables_match_scalar_inner_product(p, seed):
             for s in range(p):
                 want = abs(fourier_haar_inner_1d(p, int(ks[i]), e, s, 0))
                 assert abs(tables[e][i, s] - want) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# PGM
+
+@PROPERTY
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                elements=st.floats(0.0, 1.0)),
+       maxval=st.integers(1, 65535))
+def test_pgm_round_trip_is_the_quantization(tmp_path_factory, x, maxval):
+    path = tmp_path_factory.mktemp("pgm") / "x.pgm"
+    write_pgm(path, x, maxval)
+    back, back_maxval = read_pgm(path)
+    assert back_maxval == maxval
+    assert back.shape == x.shape
+    assert np.array_equal(back, np.rint(x * maxval) / maxval)

@@ -270,7 +270,7 @@ def test_adjoint_identity_many_plans():
         f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         lhs = np.vdot(partial_dft(f, plan), y)
-        rhs = np.vdot(f, partial_dft_adjoint(y, plan, n))
+        rhs = np.vdot(f, partial_dft_adjoint(y, plan))
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -278,12 +278,20 @@ def test_adjoint_zero_and_duplicates():
     n = 8
     plan = SamplingPlan(n=n, freqs=np.array([[1, 2]]), rho=np.ones(1),
                         density_label="one")
-    assert np.all(partial_dft_adjoint(np.zeros(1), plan, n) == 0)
+    assert np.all(partial_dft_adjoint(np.zeros(1), plan) == 0)
     dup = SamplingPlan(n=n, freqs=np.array([[1, 2], [1, 2]]), rho=np.ones(2),
                        density_label="dup")
-    a = partial_dft_adjoint(np.array([1.0, 1.0]), dup, n)
-    b = partial_dft_adjoint(np.array([2.0]), plan, n)
+    a = partial_dft_adjoint(np.array([1.0, 1.0]), dup)
+    b = partial_dft_adjoint(np.array([2.0]), plan)
     assert np.abs(a - b).max() < 1e-14
+
+
+def test_partial_dft_takes_the_grid_from_the_plan():
+    plan = draw_plan(density_uniform(16), 20, seed=3)
+    with pytest.raises(ValueError, match="plan.n"):
+        partial_dft(np.ones((32, 32)), plan)
+    y = partial_dft(np.ones((16, 16)), plan)
+    assert partial_dft_adjoint(y, plan).shape == (16, 16)
 
 
 def test_partial_dft_adjoint_length_mismatch():
@@ -291,4 +299,4 @@ def test_partial_dft_adjoint_length_mismatch():
     plan = SamplingPlan(n=n, freqs=np.array([[1, 2]]), rho=np.ones(1),
                         density_label="one")
     with pytest.raises(ValueError):
-        partial_dft_adjoint(np.zeros(3), plan, n)
+        partial_dft_adjoint(np.zeros(3), plan)

@@ -98,6 +98,12 @@ def test_preconditioned_matrix_size_budget():
         build_preconditioned_matrix(plan, 32)
 
 
+def test_preconditioned_matrix_rejects_a_plan_for_another_grid():
+    plan = full_grid_plan(8, rho_value=8.0)
+    with pytest.raises(ValueError, match="plan.n"):
+        build_preconditioned_matrix(plan, 16)
+
+
 def test_preconditioned_row_norm_expectation():
     # rows of sqrt(m) * matrix have squared norm rho^2; its mean over the
     # density approaches n^2
