@@ -8,12 +8,12 @@ deterministic masks carry ``rho = 1``.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .image_core import is_power_of_two
-from .transforms import freq_grids, freq_values
+from .transforms import freq_grids, freq_to_index, freq_values
 
 __all__ = [
     "Density",
@@ -27,17 +27,11 @@ __all__ = [
     "deterministic_mask",
 ]
 
-GENERATOR_ID = "pcg64"  # numpy default_rng bit generator
-
-
 @dataclass(frozen=True, eq=False)
 class Density:
-    """Probability mass over the n x n frequency grid (storage layout)."""
+    """Probability mass over the n x n frequency grid (storage layout); n is the side of ``values``."""
 
     values: np.ndarray
-    label: str
-    params: dict = field(default_factory=dict)
-    degenerate: bool = False
 
     @property
     def n(self):
@@ -57,21 +51,24 @@ class Density:
 class SamplingPlan:
     """m drawn frequencies (duplicates allowed) plus preconditioning weights.
 
-    ``freqs`` is an (m, 2) integer array of (k1, k2) values; ``rho`` the m
-    positive weights. ``seed``/``generator`` record how a stochastic plan
-    was drawn so it can be reproduced exactly.
+    ``freqs`` is an (m, 2) integer array of (k1, k2) values on the n x n
+    grid; ``rho`` the m positive weights. A stochastic plan is reproduced by
+    calling :func:`draw_plan` again with the same density, m and seed.
     """
 
     n: int
     freqs: np.ndarray
     rho: np.ndarray
-    density_label: str
-    seed: int | None = None
-    generator: str | None = None
 
     @property
     def m(self):
         return self.freqs.shape[0]
+
+    @property
+    def lin(self):
+        """Flat storage positions i1*n + i2 of the m frequencies (checked range)."""
+        i1, i2 = freq_to_index(self.freqs[:, 0], self.freqs[:, 1], self.n)
+        return i1 * self.n + i2
 
     def __post_init__(self):
         if self.freqs.ndim != 2 or self.freqs.shape[1] != 2:
@@ -80,14 +77,12 @@ class SamplingPlan:
             raise ValueError("rho length must match the number of frequencies")
         if not np.all(np.isfinite(self.rho) & (self.rho > 0)):
             raise ValueError("rho entries must be finite and positive")
-        lo, hi = -self.n // 2 + 1, self.n // 2
-        if self.freqs.min() < lo or self.freqs.max() > hi:
-            raise ValueError(f"plan frequencies outside [{lo}, {hi}]")
+        freq_to_index(self.freqs[:, 0], self.freqs[:, 1], self.n)
 
     def mask(self):
         """Boolean n x n array, True where a frequency was drawn at least once."""
         out = np.zeros((self.n, self.n), dtype=bool)
-        out[self.freqs[:, 0] % self.n, self.freqs[:, 1] % self.n] = True
+        out.flat[self.lin] = True
         return out
 
     def to_csv(self, path):
@@ -100,24 +95,27 @@ class SamplingPlan:
                             repr(float(self.rho[j]))])
 
     @classmethod
-    def from_csv(cls, path, n, density_label="csv"):
+    def from_csv(cls, path, n):
+        """Read the rows written by :meth:`to_csv`; the k1, k2 and rho columns are required."""
         freqs, rho = [], []
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
+            reader = csv.DictReader(fh, restval="")
+            missing = [c for c in ("k1", "k2", "rho") if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"plan CSV {path} has no {'/'.join(missing)} column")
+            for row in reader:
                 freqs.append((int(row["k1"]), int(row["k2"])))
                 rho.append(float(row["rho"]))
-        return cls(n=n, freqs=np.array(freqs, dtype=int), rho=np.array(rho),
-                   density_label=density_label)
+        return cls(n=n, freqs=np.array(freqs, dtype=int), rho=np.array(rho))
 
 
-def _normalized(mass, label, params, degenerate=False):
-    return Density(values=mass / mass.sum(), label=label, params=params,
-                   degenerate=degenerate)
+def _normalized(mass):
+    return Density(values=mass / mass.sum())
 
 
 def density_uniform(n):
     """Uniform density, 1/n^2 per frequency."""
-    return _normalized(np.ones((n, n)), "uniform", {"alpha": 0.0})
+    return _normalized(np.ones((n, n)))
 
 
 def density_inverse_square(n, cap=1.0):
@@ -129,25 +127,24 @@ def density_inverse_square(n, cap=1.0):
     k1, k2 = freq_grids(n)
     r2 = k1.astype(float) ** 2 + k2.astype(float) ** 2
     inv = np.divide(1.0, r2, out=np.full_like(r2, np.inf), where=r2 > 0)
-    return _normalized(np.minimum(cap, inv), "inv-square", {"cap": cap})
+    return _normalized(np.minimum(cap, inv))
 
 
 def density_power_law(n, alpha):
     """Density proportional to (k1^2 + k2^2 + 1) ** (-alpha/2).
 
-    ``alpha = 0`` is uniform. ``alpha = inf`` degenerates to a point mass at
-    the zero frequency and is flagged so it cannot be drawn stochastically;
-    use ``deterministic_mask(n, "lowest_frequencies", m=...)`` instead.
+    ``alpha = 0`` is uniform. ``alpha = inf`` would be a point mass at the zero
+    frequency, which i.i.d. draws cannot spread over m frequencies, so it is
+    rejected; its limit is ``deterministic_mask(n, "lowest_frequencies", m=...)``.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if math.isinf(alpha):
-        mass = np.zeros((n, n))
-        mass[0, 0] = 1.0
-        return _normalized(mass, "power:inf", {"alpha": math.inf}, degenerate=True)
+        raise ValueError("alpha = inf is a point mass; use "
+                         "deterministic_mask(n, 'lowest_frequencies', m=...)")
     k1, k2 = freq_grids(n)
     mass = (k1.astype(float) ** 2 + k2.astype(float) ** 2 + 1.0) ** (-alpha / 2)
-    return _normalized(mass, f"power:{alpha:g}", {"alpha": float(alpha)})
+    return _normalized(mass)
 
 
 def density_inverse_max(n):
@@ -155,15 +152,15 @@ def density_inverse_max(n):
     k1, k2 = freq_grids(n)
     mx = np.maximum(np.abs(k1), np.abs(k2)).astype(float)
     inv = np.divide(1.0, mx, out=np.full_like(mx, np.inf), where=mx > 0)
-    return _normalized(np.minimum(1.0, inv), "inv-max", {})
+    return _normalized(np.minimum(1.0, inv))
 
 
-def density_from_kappa(kappa_table, label="kappa"):
+def density_from_kappa(kappa_table):
     """Density proportional to the square of a positive coherence-bound table."""
     kap = np.asarray(kappa_table, dtype=float)
     if np.any(kap <= 0):
         raise ValueError("kappa entries must be positive")
-    return _normalized(kap**2, label, {})
+    return _normalized(kap**2)
 
 
 def draw_plan(density, m, seed):
@@ -175,11 +172,6 @@ def draw_plan(density, m, seed):
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if density.degenerate:
-        raise ValueError(
-            f"density {density.label!r} is degenerate and cannot be sampled; "
-            "use deterministic_mask(n, 'lowest_frequencies', m=...)"
-        )
     n = density.n
     flat = density.values.ravel()
     cdf = np.cumsum(flat)
@@ -190,8 +182,7 @@ def draw_plan(density, m, seed):
     ks = freq_values(n)
     freqs = np.stack([ks[i1], ks[i2]], axis=1)
     rho = 1.0 / np.sqrt(flat[lin])
-    return SamplingPlan(n=n, freqs=freqs, rho=rho, density_label=density.label,
-                        seed=int(seed), generator=GENERATOR_ID)
+    return SamplingPlan(n=n, freqs=freqs, rho=rho)
 
 
 def _lowest_frequencies(n, m):
@@ -237,11 +228,10 @@ def deterministic_mask(n, variant, m=None, lines=None):
         if m is None or not 1 <= m <= n * n:
             raise ValueError(f"lowest_frequencies requires 1 <= m <= {n * n}")
         freqs = _lowest_frequencies(n, m)
-        return SamplingPlan(n=n, freqs=freqs, rho=np.ones(m), density_label="lowpass")
+        return SamplingPlan(n=n, freqs=freqs, rho=np.ones(m))
     if variant == "radial_lines":
         if lines is None or lines < 1:
             raise ValueError("radial_lines requires lines >= 1")
         freqs = _radial_lines(n, lines)
-        return SamplingPlan(n=n, freqs=freqs, rho=np.ones(len(freqs)),
-                            density_label=f"radial:{lines}")
+        return SamplingPlan(n=n, freqs=freqs, rho=np.ones(len(freqs)))
     raise ValueError(f"unknown mask variant {variant!r}")

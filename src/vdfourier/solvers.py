@@ -30,7 +30,6 @@ from .transforms import (
     haar_forward,
     haar_inverse,
     ifft2_unphased,
-    plan_storage_indices,
     sampled_phase,
 )
 
@@ -122,6 +121,20 @@ def _project_ball(v, lin, w, ybar, r, t):
     return ifft2_unphased(s.reshape(v.shape)), t, evals
 
 
+def _merge_draws(plan, y, d2):
+    """Merge repeated draws: sum_j d2_j |x[lin_j] - y_j|^2 = sum_k w_k |x_k - ybar_k|^2 + spread.
+
+    Returns the distinct storage positions ``lin``, their summed weights ``w``, the
+    weighted means ``ybar`` and the weighted ``spread`` of the draws about them.
+    """
+    lin, inv = np.unique(plan.lin, return_inverse=True)
+    w = np.bincount(inv, weights=d2)
+    ybar = (np.bincount(inv, weights=d2 * y.real)
+            + 1j * np.bincount(inv, weights=d2 * y.imag)) / w
+    spread = float(np.sum(d2 * np.abs(y - ybar[inv]) ** 2))
+    return lin, w, ybar, spread
+
+
 def _solve(y, plan, opts, k1, k1t, lip):
     """PDHG for min ||k1(g)||_1 s.t. ||d o (F_Omega g - y)|| <= eps*sqrt(m).
 
@@ -141,15 +154,8 @@ def _solve(y, plan, opts, k1, k1t, lip):
     radius = opts.epsilon * np.sqrt(plan.m)
     viol_tol = opts.dual_tol * np.sqrt(plan.m) * max(opts.epsilon, 1.0)
 
-    # merge repeated draws: sum_j d_j^2 |x_k(j) - y_j|^2
-    #   = sum_k w_k |x_k - ybar_k|^2 + spread
-    i1, i2 = plan_storage_indices(plan)
-    lin, inv = np.unique(i1 * n + i2, return_inverse=True)
     d2 = plan.rho.astype(float) ** 2 if opts.noise_model == "weighted" else np.ones(plan.m)
-    w = np.bincount(inv, weights=d2)
-    ybar = (np.bincount(inv, weights=d2 * y.real)
-            + 1j * np.bincount(inv, weights=d2 * y.imag)) / w
-    spread = float(np.sum(d2 * np.abs(y - ybar[inv]) ** 2))
+    lin, w, ybar, spread = _merge_draws(plan, y, d2)
     if np.sqrt(spread) - radius > viol_tol:
         raise ValueError(
             f"repeated samples disagree by {np.sqrt(spread):.6g}, more than the "

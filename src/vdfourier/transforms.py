@@ -236,11 +236,6 @@ def sampled_phase(n, lin):
     return np.exp(-2j * np.pi * (lin // n + lin % n) / n)
 
 
-def plan_storage_indices(plan):
-    """Storage positions of a plan's frequencies on its n x n grid."""
-    return freq_to_index(plan.freqs[:, 0], plan.freqs[:, 1], plan.n)
-
-
 def partial_dft(f, plan):
     """Fourier measurements of an image at a plan's frequencies.
 
@@ -251,7 +246,7 @@ def partial_dft(f, plan):
     f = as_image(f)
     if f.shape[0] != plan.n:
         raise ValueError(f"image side {f.shape[0]} != plan.n = {plan.n}")
-    return dft2_forward(f)[plan_storage_indices(plan)]
+    return dft2_forward(f).ravel()[plan.lin]
 
 
 def partial_dft_adjoint(y, plan):
@@ -259,9 +254,7 @@ def partial_dft_adjoint(y, plan):
     y = np.asarray(y, dtype=np.complex128).ravel()
     if y.size != plan.m:
         raise ValueError(f"measurement length {y.size} != plan.m = {plan.m}")
-    n = plan.n
-    i1, i2 = plan_storage_indices(plan)
-    lin = i1 * n + i2
+    n, lin = plan.n, plan.lin
     spec = np.bincount(lin, weights=y.real, minlength=n * n) + 1j * np.bincount(
         lin, weights=y.imag, minlength=n * n
     )

@@ -6,6 +6,7 @@ wavelet-crossing count, the per-atom TV bound, and the sorted-coefficient
 decay of the Haar transform relative to the TV seminorm.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,7 +18,6 @@ from .transforms import (
     haar_atom_2d,
     haar_forward,
     haar_indices,
-    plan_storage_indices,
 )
 
 __all__ = [
@@ -60,14 +60,7 @@ def _delta_over_supports(gram, supports):
     supports = np.asarray(supports)
     sub = gram[supports[:, :, None], supports[:, None, :]]
     eig = np.linalg.eigvalsh(sub)
-    return float(np.maximum(np.abs(eig - 1.0), np.abs(1.0 - eig)).max())
-
-
-def _n_choose_s(n, s):
-    out = 1
-    for i in range(s):
-        out = out * (n - i) // (i + 1)
-    return out
+    return float(np.abs(eig - 1.0).max())
 
 
 def rip_exact(a, s):
@@ -80,7 +73,7 @@ def rip_exact(a, s):
     n = a.shape[1]
     if not 1 <= s <= n:
         raise ValueError(f"s must be in [1, {n}], got {s}")
-    count = _n_choose_s(n, s)
+    count = math.comb(n, s)
     if count > ENUMERATION_BUDGET:
         raise ValueError(
             f"C({n},{s}) = {count} supports exceeds the budget of {ENUMERATION_BUDGET}; "
@@ -109,30 +102,30 @@ def rip_monte_carlo(a, s, trials, seed=0):
                        method="monte_carlo")
 
 
-def build_preconditioned_matrix(plan, n):
+def build_preconditioned_matrix(plan):
     """Dense m x n^2 matrix with rows rho_j/sqrt(m) * (Fourier row in Haar basis).
 
     Column k holds the measurements of the k-th Haar atom, so the matrix
-    represents g-coefficients -> normalized weighted measurements. Dense
-    materialization is limited to n <= 16.
+    represents g-coefficients -> normalized weighted measurements on the
+    plan's grid. Dense materialization is limited to n = plan.n <= 16.
     """
+    n = plan.n
     if n > 16:
         raise ValueError(f"dense materialization limited to n <= 16, got {n}")
-    if n != plan.n:
-        raise ValueError(f"n = {n} != plan.n = {plan.n}")
     p = n.bit_length() - 1
-    i1, i2 = plan_storage_indices(plan)
-    cols = [dft2_forward(haar_atom_2d(p, idx))[i1, i2] for idx in haar_indices(p)]
+    lin = plan.lin
+    cols = [dft2_forward(haar_atom_2d(p, idx)).ravel()[lin] for idx in haar_indices(p)]
     return (plan.rho[:, None] / np.sqrt(plan.m)) * np.stack(cols, axis=1)
 
 
-def isotropy_identity_error(n, density):
+def isotropy_identity_error(density):
     """Deviation from identity of sum_j nu_j rho_j^2 conj(A_j,k1) A_j,k2.
 
-    A ranges over the full frequency grid with rho_j = nu_j ** -0.5, so the
-    weighted Gram of the preconditioned rows must be exactly the identity.
-    Returns the max-abs deviation.
+    A ranges over the density's full n x n frequency grid (n = density.n) with
+    rho_j = nu_j ** -0.5, so the weighted Gram of the preconditioned rows must
+    be exactly the identity. Returns the max-abs deviation.
     """
+    n = density.n
     p = n.bit_length() - 1
     nu = density.values.ravel()
     rho2 = 1.0 / nu

@@ -212,7 +212,7 @@ def test_criterion_4_lemma_suite():
 def test_criterion_5_isotropy_identity():
     from vdfourier.sampling import density_from_kappa
 
-    err = isotropy_identity_error(8, density_from_kappa(kappa_table(8)))
+    err = isotropy_identity_error(density_from_kappa(kappa_table(8)))
     assert announce(5, err <= 1e-10, f"max deviation from identity {err:.2e}")
 
 
@@ -222,12 +222,12 @@ def test_criterion_6_rip_trend():
     medians = []
     for m in (16, 32, 64, 128):
         deltas = [
-            rip_exact(build_preconditioned_matrix(draw_plan(density, m, 7000 + s), n), 2).delta
+            rip_exact(build_preconditioned_matrix(draw_plan(density, m, 7000 + s)), 2).delta
             for s in range(20)
         ]
         medians.append(float(np.median(deltas)))
     decreasing = all(a > b for a, b in zip(medians, medians[1:]))
-    full_delta = rip_exact(build_preconditioned_matrix(full_grid_plan(n, rho_value=n), n), 2).delta
+    full_delta = rip_exact(build_preconditioned_matrix(full_grid_plan(n, rho_value=n)), 2).delta
     ok = decreasing and full_delta <= 1e-10
     assert announce(6, ok,
                     "median delta_2 " + " > ".join(f"{v:.3f}" for v in medians)

@@ -7,9 +7,10 @@ import pytest
 
 from conftest import full_grid_plan
 from vdfourier.cli import main
-from vdfourier.coherence import kappa_l2
+from vdfourier.coherence import kappa_l2, kappa_prime_table, kappa_table, local_coherence_exact
 from vdfourier.pgm import read_pgm, write_pgm
 from vdfourier.phantoms import shepp_logan
+from vdfourier.transforms import freq_values
 
 
 def file_hash(path):
@@ -48,6 +49,18 @@ def test_cmd_coherence_l2_matches_library(tmp_path):
     assert report["kappa_prime_l2"] == pytest.approx(kappa_l2(8, "kappa_prime"), rel=1e-12)
 
 
+def test_cmd_coherence_grid_csvs_match_the_cell_loop(tmp_path):
+    n = 8
+    out = tmp_path / "coh8"
+    assert main(["coherence", "--n", str(n), "--out", str(out)]) == 0
+    ks = freq_values(n)
+    for name, table in (("coherence_map", local_coherence_exact(n)), ("kappa", kappa_table(n)),
+                        ("kappa_prime", kappa_prime_table(n))):
+        want = ["k1,k2,value"] + [f"{ks[i1]},{ks[i2]},{float(v)!r}"
+                                  for (i1, i2), v in np.ndenumerate(table)]
+        assert (out / f"{name}.csv").read_text().splitlines() == want
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -69,7 +82,7 @@ def test_cmd_sample_reproducible_hash(tmp_path):
     assert file_hash(out1 / "plan.csv") == file_hash(out2 / "plan.csv")
 
 
-def test_cmd_sample_uniform_duplicates_in_csv(tmp_path):
+def test_cmd_sample_uniform_duplicates_in_csv(tmp_path, capsys):
     out = tmp_path / "u"
     n = 16
     assert main(["sample", "--n", str(n), "--density", "uniform", "--m", str(n * n),
@@ -80,6 +93,7 @@ def test_cmd_sample_uniform_duplicates_in_csv(tmp_path):
     unique = {(r["k1"], r["k2"]) for r in rows}
     mask, _ = read_pgm(out / "mask.pgm")
     assert int(mask.sum()) == len(unique) < n * n
+    assert f"({n * n - len(unique)} duplicate draws)" in capsys.readouterr().out
 
 
 def test_cmd_sample_invalid_density(tmp_path):
@@ -184,6 +198,21 @@ def test_cmd_reconstruct_rejects_nonfinite_plan(tmp_path):
     plan_path.write_text("j,k1,k2,rho\n0,0,0,1.0\n1,1,2,nan\n")
     assert main(["reconstruct", "--image", str(img_path), "--plan", str(plan_path),
                  "--out", str(tmp_path / "rec")]) == 2
+    assert not (tmp_path / "rec").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("j,k1,k2\n0,0,0\n", "no rho column"), ("j,k2,rho\n0,0,1.0\n", "no k1 column"),
+    ("", "no k1/k2/rho column"), ("j,k1,k2,rho\n0,0,0\n", "float"),
+])
+def test_cmd_reconstruct_rejects_malformed_plan_csv(tmp_path, capsys, text, message):
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    plan_path = tmp_path / "plan.csv"
+    plan_path.write_text(text)
+    assert main(["reconstruct", "--image", str(img_path), "--plan", str(plan_path),
+                 "--out", str(tmp_path / "rec")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "rec").exists()
 
 

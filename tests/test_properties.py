@@ -1,5 +1,6 @@
-"""Property tests (hypothesis) for the data-ball projection, the transforms,
-the partial DFT, the closed-form Fourier-Haar inner products and PGM round trips."""
+"""Property tests (hypothesis) for the data-ball projection, the duplicate merge,
+the transforms, the partial DFT, the closed-form Fourier-Haar inner products and
+PGM round trips."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from vdfourier.coherence import (
 )
 from vdfourier.pgm import read_pgm, write_pgm
 from vdfourier.sampling import SamplingPlan
-from vdfourier.solvers import _project_ball
+from vdfourier.solvers import _merge_draws, _project_ball
 from vdfourier.transforms import (
     dft2_forward,
     dft2_inverse,
@@ -142,14 +143,33 @@ def test_partial_dft_adjoint_identity_with_repeated_frequencies(p, seed, draws, 
     rng = np.random.default_rng(seed)
     freqs = rng.integers(-n // 2 + 1, n // 2 + 1, (max(1, int(draws * n * n)), 2))
     freqs = np.concatenate([freqs] * repeats + [freqs[: 1 + len(freqs) // 2]])
-    plan = SamplingPlan(n=n, freqs=freqs, rho=rng.uniform(0.5, 2.0, len(freqs)),
-                        density_label="random")
+    plan = SamplingPlan(n=n, freqs=freqs, rho=rng.uniform(0.5, 2.0, len(freqs)))
     assert len(np.unique(freqs, axis=0)) < plan.m
     g = random_complex(seed + 1, (n, n))
     y = random_complex(seed + 2, plan.m)
     lhs = np.vdot(partial_dft(g, plan), y)
     rhs = np.vdot(g, partial_dft_adjoint(y, plan))
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+@PROPERTY
+@given(p=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), draws=st.floats(0.05, 2.0),
+       repeats=st.integers(1, 4))
+def test_merged_draws_keep_the_weighted_data_fit(p, seed, draws, repeats):
+    n = 1 << p
+    rng = np.random.default_rng(seed)
+    freqs = rng.integers(-n // 2 + 1, n // 2 + 1, (max(1, int(draws * n * n)), 2))
+    freqs = np.concatenate([freqs] * repeats + [freqs[: 1 + len(freqs) // 2]])
+    plan = SamplingPlan(n=n, freqs=freqs, rho=np.ones(len(freqs)))
+    assert len(np.unique(freqs, axis=0)) < plan.m
+    d2 = rng.uniform(0.1, 10.0, plan.m)
+    x = random_complex(seed + 1, n * n)
+    y = random_complex(seed + 2, plan.m)
+    lin, w, ybar, spread = _merge_draws(plan, y, d2)
+    assert np.array_equal(lin, np.unique(plan.lin))
+    lhs = np.sum(d2 * np.abs(x[plan.lin] - y) ** 2)
+    rhs = np.sum(w * np.abs(x[lin] - ybar) ** 2) + spread
+    assert abs(lhs - rhs) <= 1e-10 * lhs
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -91,11 +92,9 @@ def test_power_law_rejects_negative():
 
 
 def test_power_law_infinite_is_degenerate():
-    d = density_power_law(8, math.inf)
-    assert d.degenerate
-    assert d.values[0, 0] == 1.0
-    with pytest.raises(ValueError, match="degenerate"):
-        draw_plan(d, 5, 0)
+    # the alpha -> inf limit is a point mass: no i.i.d. density, only the lowpass mask
+    with pytest.raises(ValueError, match="deterministic_mask"):
+        density_power_law(8, math.inf)
 
 
 def test_inverse_max_matches_oracle_n32():
@@ -129,9 +128,9 @@ def test_inverse_square_vs_power2_ratio_bracket():
 
 def test_density_validation():
     with pytest.raises(ValueError):
-        Density(values=np.full((8, 8), 2.0 / 64), label="bad")
+        Density(values=np.full((8, 8), 2.0 / 64))
     with pytest.raises(ValueError):
-        Density(values=-np.ones((8, 8)) / 64, label="bad")
+        Density(values=-np.ones((8, 8)) / 64)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ def test_density_validation():
 def test_draw_plan_point_mass():
     vals = np.zeros((8, 8))
     vals[3, 2] = 1.0
-    d = Density(values=vals, label="point")
+    d = Density(values=vals)
     plan = draw_plan(d, 7, seed=1)
     assert np.all(plan.freqs[:, 0] == 3) and np.all(plan.freqs[:, 1] == 2)
     assert np.allclose(plan.rho, 1.0)
@@ -151,8 +150,7 @@ def test_draw_plan_seed_reproducible():
     a = draw_plan(d, 5, 42)
     b = draw_plan(d, 5, 42)
     assert np.array_equal(a.freqs, b.freqs) and np.array_equal(a.rho, b.rho)
-    # frozen stream for the recorded generator (pcg64)
-    assert a.generator == "pcg64"
+    # frozen stream of numpy's default generator (pcg64)
     assert a.freqs.tolist() == [[-2, -2], [1, -3], [-1, 0], [-3, -2], [0, 1]]
     assert a.rho == pytest.approx(
         [10.171959653753389, 11.372596625088898, 3.596330824562493,
@@ -248,8 +246,7 @@ def test_plan_rejects_bad_rho(bad):
     rho = np.ones(3)
     rho[1] = bad
     with pytest.raises(ValueError, match="finite and positive"):
-        SamplingPlan(n=8, freqs=np.array([[0, 0], [1, 2], [-3, 4]]), rho=rho,
-                     density_label="bad")
+        SamplingPlan(n=8, freqs=np.array([[0, 0], [1, 2], [-3, 4]]), rho=rho)
 
 
 def test_mask_variant_errors():
@@ -266,6 +263,22 @@ def test_plan_csv_roundtrip(tmp_path):
     back = SamplingPlan.from_csv(path, 16)
     assert np.array_equal(back.freqs, plan.freqs)
     assert np.allclose(back.rho, plan.rho, rtol=0, atol=0)
+
+
+def test_plan_and_density_hold_only_what_the_pipeline_reads():
+    assert [f.name for f in fields(SamplingPlan)] == ["n", "freqs", "rho"]
+    assert [f.name for f in fields(Density)] == ["values"]
+
+
+def test_plan_lin_is_the_flat_storage_position():
+    n = 16
+    plan = draw_plan(density_inverse_square(n), 50, seed=2)
+    k1, k2 = plan.freqs[:, 0], plan.freqs[:, 1]
+    assert np.array_equal(plan.lin, (k1 % n) * n + k2 % n)
+    assert np.array_equal(np.flatnonzero(plan.mask()), np.unique(plan.lin))
+    for bad in ([[n // 2 + 1, 0]], [[0, -n // 2]]):
+        with pytest.raises(ValueError, match="outside"):
+            SamplingPlan(n=n, freqs=np.array(bad), rho=np.ones(1))
 
 
 def test_plan_mask_marks_sampled_cells():

@@ -48,8 +48,7 @@ def test_haar_full_sampling_recovers_random_image(rng):
 def test_tv_dc_only_recovers_constant():
     n = 8
     f = np.full((n, n), 0.7)
-    plan = SamplingPlan(n=n, freqs=np.array([[0, 0]]), rho=np.ones(1),
-                        density_label="dc")
+    plan = SamplingPlan(n=n, freqs=np.array([[0, 0]]), rho=np.ones(1))
     y = partial_dft(f, plan)
     g, report = tv_min_reconstruct(y, plan, FAST)
     assert relative_error(g, f) <= 1e-6
@@ -208,8 +207,7 @@ def test_solver_option_validation():
 def test_solver_rejects_disagreeing_duplicates():
     # the spread of repeated samples alone breaks the eps = 0 ball
     n = 8
-    plan = SamplingPlan(n=n, freqs=np.array([[1, 2], [1, 2], [0, 0]]), rho=np.ones(3),
-                        density_label="dup")
+    plan = SamplingPlan(n=n, freqs=np.array([[1, 2], [1, 2], [0, 0]]), rho=np.ones(3))
     y = np.array([1.0, 2.0, 0.5], dtype=complex)
     with pytest.raises(ValueError, match="repeated samples"):
         tv_min_reconstruct(y, plan)

@@ -36,7 +36,7 @@ def dft2_oracle(f):
 def full_grid_plan(n):
     ks = freq_values(n)
     freqs = np.stack(np.meshgrid(ks, ks, indexing="ij"), axis=-1).reshape(-1, 2)
-    return SamplingPlan(n=n, freqs=freqs, rho=np.ones(n * n), density_label="full")
+    return SamplingPlan(n=n, freqs=freqs, rho=np.ones(n * n))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +234,7 @@ def test_partial_dft_dc_only():
     n = 8
     rng = np.random.default_rng(81)
     f = rng.standard_normal((n, n))
-    plan = SamplingPlan(n=n, freqs=np.array([[0, 0]]), rho=np.ones(1),
-                        density_label="dc")
+    plan = SamplingPlan(n=n, freqs=np.array([[0, 0]]), rho=np.ones(1))
     assert partial_dft(f, plan)[0] == pytest.approx(f.mean() * n)
 
 
@@ -253,8 +252,7 @@ def test_partial_dft_matches_inner_product_oracle():
 
 def test_partial_dft_rejects_out_of_range():
     n = 8
-    plan = SamplingPlan(n=n, freqs=np.array([[0, 0]]), rho=np.ones(1),
-                        density_label="dc")
+    plan = SamplingPlan(n=n, freqs=np.array([[0, 0]]), rho=np.ones(1))
     object.__setattr__(plan, "freqs", np.array([[n, 0]]))
     f = np.zeros((n, n))
     with pytest.raises(ValueError):
@@ -276,11 +274,9 @@ def test_adjoint_identity_many_plans():
 
 def test_adjoint_zero_and_duplicates():
     n = 8
-    plan = SamplingPlan(n=n, freqs=np.array([[1, 2]]), rho=np.ones(1),
-                        density_label="one")
+    plan = SamplingPlan(n=n, freqs=np.array([[1, 2]]), rho=np.ones(1))
     assert np.all(partial_dft_adjoint(np.zeros(1), plan) == 0)
-    dup = SamplingPlan(n=n, freqs=np.array([[1, 2], [1, 2]]), rho=np.ones(2),
-                       density_label="dup")
+    dup = SamplingPlan(n=n, freqs=np.array([[1, 2], [1, 2]]), rho=np.ones(2))
     a = partial_dft_adjoint(np.array([1.0, 1.0]), dup)
     b = partial_dft_adjoint(np.array([2.0]), plan)
     assert np.abs(a - b).max() < 1e-14
@@ -296,7 +292,6 @@ def test_partial_dft_takes_the_grid_from_the_plan():
 
 def test_partial_dft_adjoint_length_mismatch():
     n = 8
-    plan = SamplingPlan(n=n, freqs=np.array([[1, 2]]), rho=np.ones(1),
-                        density_label="one")
+    plan = SamplingPlan(n=n, freqs=np.array([[1, 2]]), rho=np.ones(1))
     with pytest.raises(ValueError):
         partial_dft_adjoint(np.zeros(3), plan)

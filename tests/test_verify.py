@@ -87,21 +87,15 @@ def test_rip_monte_carlo_lower_bound_and_reproducible():
 
 def test_full_sampling_preconditioned_matrix_is_unitary():
     plan = full_grid_plan(8, rho_value=8.0)
-    mat = build_preconditioned_matrix(plan, 8)
+    mat = build_preconditioned_matrix(plan)
     assert np.abs(mat.conj().T @ mat - np.eye(64)).max() <= 1e-10
     assert rip_exact(mat, 2).delta <= 1e-10
 
 
 def test_preconditioned_matrix_size_budget():
-    plan = full_grid_plan(8, rho_value=8.0)
+    plan = full_grid_plan(32, 32.0)
     with pytest.raises(ValueError):
-        build_preconditioned_matrix(plan, 32)
-
-
-def test_preconditioned_matrix_rejects_a_plan_for_another_grid():
-    plan = full_grid_plan(8, rho_value=8.0)
-    with pytest.raises(ValueError, match="plan.n"):
-        build_preconditioned_matrix(plan, 16)
+        build_preconditioned_matrix(plan)
 
 
 def test_preconditioned_row_norm_expectation():
@@ -109,7 +103,7 @@ def test_preconditioned_row_norm_expectation():
     # density approaches n^2
     n = 8
     plan = draw_plan(density_inverse_square(n), 10_000, seed=123)
-    mat = build_preconditioned_matrix(plan, n)
+    mat = build_preconditioned_matrix(plan)
     row2 = (np.abs(mat) ** 2).sum(axis=1) * plan.m
     assert abs(row2.mean() / n**2 - 1.0) <= 0.05
 
@@ -120,7 +114,7 @@ def test_delta2_median_decreases_with_m():
     medians = []
     for m in (16, 64):
         deltas = [
-            rip_exact(build_preconditioned_matrix(draw_plan(density, m, 7000 + s), n), 2).delta
+            rip_exact(build_preconditioned_matrix(draw_plan(density, m, 7000 + s)), 2).delta
             for s in range(5)
         ]
         medians.append(np.median(deltas))
@@ -129,10 +123,15 @@ def test_delta2_median_decreases_with_m():
 
 def test_isotropy_identity_exact():
     n = 8
-    err = isotropy_identity_error(n, density_from_kappa(kappa_table(n)))
+    err = isotropy_identity_error(density_from_kappa(kappa_table(n)))
     assert err <= 1e-10
-    err2 = isotropy_identity_error(n, density_inverse_square(n))
+    err2 = isotropy_identity_error(density_inverse_square(n))
     assert err2 <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_isotropy_identity_reads_n_from_the_density(n):
+    assert isotropy_identity_error(density_inverse_square(n)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
