@@ -10,7 +10,7 @@ the exact supremum costs O(n^2 log n) instead of the O(n^6) dense scan.
 import numpy as np
 
 from .image_core import is_power_of_two
-from .transforms import freq_values, haar_atom_1d
+from .transforms import freq_values
 
 __all__ = [
     "fourier_haar_inner_1d",
@@ -62,14 +62,6 @@ def fourier_haar_inner_1d(p, k, e, n, l):
     if not 0 <= l < (1 << n):
         raise ValueError(f"shift l out of range for scale {n}")
     return complex(_inner_1d(p, k, e, n, l))
-
-
-def fourier_haar_inner_1d_direct(p, k, e, n, l):
-    """Direct summation oracle for :func:`fourier_haar_inner_1d`."""
-    size = 1 << p
-    j = np.arange(size)
-    atom = haar_atom_1d(p, e, n, l)
-    return complex(np.sum(np.exp(2j * np.pi * k * j / size) * atom) / np.sqrt(size))
 
 
 def coherence_tables_1d(n):

@@ -36,20 +36,24 @@ def as_image(pixels):
 
 
 def gradient(f):
-    """Discrete directional derivatives of an image: the pair ``(dx, dy)``.
+    """Discrete gradient as one zero-padded (2, n, n) field ``(dx, dy)`` (Needell & Ward, TV).
 
-    Forward differences with no wraparound, so a constant image maps to zeros:
-    ``dx`` has shape (n-1, n) with dx[t1, t2] = f[t1+1, t2] - f[t1, t2];
-    ``dy`` has shape (n, n-1) with dy[t1, t2] = f[t1, t2+1] - f[t1, t2].
+    Forward differences with no wraparound, dx[t1, t2] = f[t1+1, t2] - f[t1, t2] and
+    dy[t1, t2] = f[t1, t2+1] - f[t1, t2]; the last row of ``dx`` and the last column of ``dy``
+    are zero. A constant image maps to zeros, and ||gradient(f)||^2 <= 8 ||f||^2.
     """
     f = as_image(f)
-    return f[1:, :] - f[:-1, :], f[:, 1:] - f[:, :-1]
+    n = f.shape[0]
+    d = np.zeros((2, n, n), dtype=np.complex128)
+    np.subtract(f[1:], f[:-1], out=d[0, :-1])
+    np.subtract(f[:, 1:], f[:, :-1], out=d[1, :, :-1])
+    return d
 
 
-def gradient_adjoint(dx, dy):
-    """Adjoint of :func:`gradient` under the standard inner products."""
-    n = dx.shape[1]
-    out = np.zeros((n, n), dtype=np.complex128)
+def gradient_adjoint(d):
+    """Adjoint of :func:`gradient` on all of C^(2 x n x n): the pad entries are ignored."""
+    dx, dy = d[0, :-1], d[1, :, :-1]
+    out = np.zeros(d.shape[1:], dtype=np.complex128)
     out[:-1, :] -= dx
     out[1:, :] += dx
     out[:, :-1] -= dy
@@ -59,7 +63,7 @@ def gradient_adjoint(dx, dy):
 
 def tv_norm(f):
     """Anisotropic total variation: the l1 norm of the discrete gradient."""
-    return lp_norm(np.concatenate([part.ravel() for part in gradient(f)]), 1)
+    return lp_norm(gradient(f), 1)
 
 
 def lp_norm(x, p):

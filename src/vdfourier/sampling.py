@@ -41,9 +41,9 @@ class Density:
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1] or not is_power_of_two(v.shape[0]):
             raise ValueError(f"density grid must be square power-of-two, got {v.shape}")
-        if np.any(v < 0):
-            raise ValueError("density entries must be nonnegative")
-        if abs(v.sum() - 1.0) > 1e-12:
+        if not np.all(np.isfinite(v) & (v >= 0)):
+            raise ValueError("density entries must be finite and nonnegative")
+        if not abs(v.sum() - 1.0) <= 1e-12:
             raise ValueError(f"density must sum to 1, got {v.sum()!r}")
 
 
@@ -137,7 +137,7 @@ def density_power_law(n, alpha):
     frequency, which i.i.d. draws cannot spread over m frequencies, so it is
     rejected; its limit is ``deterministic_mask(n, "lowest_frequencies", m=...)``.
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if math.isinf(alpha):
         raise ValueError("alpha = inf is a point mass; use "

@@ -53,9 +53,9 @@ class SolverOptions:
     sigma = step_balance/L follow from the closed-form norm L of the
     gradient (sqrt(8), TV) or the Haar transform (1), so tau*sigma*L**2 = 1;
     ``step_balance`` sets how far the dual side is favored. The data ball
-    is met by projection, so ``dual_tol`` only scales the violation
-    tolerance that the stopping rule checks. ``epsilon`` is the noise level
-    entering the constraint radius eps * sqrt(m).
+    is met by projection, so ``dual_tol`` only scales the tolerances of the
+    violation check in the stopping rule and of the repeated-sample spread
+    check. ``epsilon`` is the noise level entering the radius eps * sqrt(m).
     """
 
     max_iters: int = 20000
@@ -79,12 +79,22 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolverReport:
+    """Outcome of one solve; every field is deterministic.
+
+    ``iterations`` run, and whether the stopping rule ``converged`` within ``max_iters``;
+    ``objective``: the seminorm of the returned image; ``primal_residual``: the relative
+    objective change between the last two checks, not a residual; ``constraint_violation``:
+    how far the returned image's data fit lies beyond the radius, measured with
+    ``dft2_forward`` independently of the projection; ``newton_steps``: the Newton
+    evaluations of phi summed over every data-ball projection of the solve.
+    """
+
     iterations: int
     primal_residual: float
     constraint_violation: float
     objective: float
     converged: bool
-    newton_steps: int  # Newton evaluations of phi in the data-ball projection, summed
+    newton_steps: int
 
 
 def _project_ball(v, lin, w, ybar, r, t):
@@ -138,7 +148,7 @@ def _merge_draws(plan, y, d2):
 def _solve(y, plan, opts, k1, k1t, lip):
     """PDHG for min ||k1(g)||_1 s.t. ||d o (F_Omega g - y)|| <= eps*sqrt(m).
 
-    The dual q lives on the range of ``k1`` (norm <= ``lip``). An iteration sets
+    The dual q is one array shaped like k1(g) (``k1`` has norm <= ``lip``). An iteration sets
     gt = P_C(g - tau*k1t(q)) (P_C: data-ball projection), qt = clip(q + sigma*k1(2*gt - g)),
     and (g, q) += _RELAX*(gt - g, qt - q). Checks, report and result use the feasible gt;
     the relaxed anchor g may leave the ball when eps > 0. The merged means are rotated
@@ -168,7 +178,7 @@ def _solve(y, plan, opts, k1, k1t, lip):
     tau = 1.0 / (opts.step_balance * lip)
 
     def objective(g):
-        return sum(lp_norm(part, 1) for part in k1(g))
+        return lp_norm(k1(g), 1)
 
     def violation(g):
         fit2 = float(np.sum(w * np.abs(dft2_forward(g).ravel()[lin] - ybar) ** 2))
@@ -176,7 +186,7 @@ def _solve(y, plan, opts, k1, k1t, lip):
 
     g, t_ball, newton_steps = _project_ball(np.zeros((n, n), dtype=np.complex128), lin, w,
                                             ybar_u, radius_distinct, 0.0)
-    q = tuple(np.zeros_like(part) for part in k1(g))
+    q = np.zeros_like(k1(g))
 
     obj_prev = objective(g)
     rel_change = np.inf
@@ -185,9 +195,8 @@ def _solve(y, plan, opts, k1, k1t, lip):
         gt, t_ball, evals = _project_ball(g - tau * k1t(q), lin, w, ybar_u, radius_distinct,
                                           t_ball)
         newton_steps += evals
-        for qi, kg in zip(q, k1(2 * gt - g)):
-            u = qi + sigma * kg  # clipped below by a real scale: cheaper than a complex division
-            qi += _RELAX * (u * (1.0 / np.maximum(1.0, np.abs(u))) - qi)
+        u = q + sigma * k1(2 * gt - g)  # clipped by a real scale: cheaper than complex division
+        q += _RELAX * (u * (1.0 / np.maximum(1.0, np.abs(u))) - q)
         g += _RELAX * (gt - g)
         if it % _CHECK_EVERY == 0:
             obj = objective(gt)
@@ -215,24 +224,13 @@ def tv_min_reconstruct(y, plan, opts=None):
     non-convergence within ``max_iters`` is reported, never raised.
     """
     opts = opts or SolverOptions()
-
-    def k1t(q):
-        return gradient_adjoint(q[0], q[1])
-
-    return _solve(y, plan, opts, gradient, k1t, np.sqrt(8.0))  # ||grad||^2 <= 8
+    return _solve(y, plan, opts, gradient, gradient_adjoint, np.sqrt(8.0))  # ||grad||^2 <= 8
 
 
 def l1_haar_reconstruct(y, plan, opts=None):
     """Minimize the l1 norm of the Haar coefficients of g subject to the ball."""
     opts = opts or SolverOptions()
-
-    def k1(g):
-        return (haar_forward(g),)
-
-    def k1t(q):
-        return haar_inverse(q[0])
-
-    return _solve(y, plan, opts, k1, k1t, 1.0)  # Haar is unitary
+    return _solve(y, plan, opts, haar_forward, haar_inverse, 1.0)  # Haar is unitary
 
 
 def add_noise(clean, plan, eps, model="weighted", seed=0):
@@ -244,6 +242,8 @@ def add_noise(clean, plan, eps, model="weighted", seed=0):
     """
     if model not in ("weighted", "unweighted"):
         raise ValueError(f"model must be weighted|unweighted, got {model!r}")
+    if not np.isfinite(eps) or eps < 0:
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
     clean = np.asarray(clean, dtype=np.complex128).ravel()
     if clean.size != plan.m:
         raise ValueError(f"measurement length {clean.size} != plan.m = {plan.m}")

@@ -138,7 +138,7 @@ def haar_atom_2d(p, idx):
 
 
 def haar_matrix(p):
-    """Dense transform matrix: row per atom in canonical order (test oracle)."""
+    """Dense transform matrix: row per atom in canonical order."""
     size = 1 << p
     return np.array([haar_atom_2d(p, idx).ravel() for idx in haar_indices(p)]).reshape(
         size * size, size * size

@@ -14,10 +14,11 @@ import numpy as np
 
 from .image_core import as_image, tv_norm
 from .transforms import (
-    dft2_forward,
+    fft2_unphased,
     haar_atom_2d,
     haar_forward,
     haar_indices,
+    haar_matrix,
 )
 
 __all__ = [
@@ -102,6 +103,12 @@ def rip_monte_carlo(a, s, trials, seed=0):
                        method="monte_carlo")
 
 
+def _atom_spectra(n):
+    """Row k: the flattened :func:`dft2_forward` of the k-th Haar atom, one batched FFT."""
+    atoms = haar_matrix(n.bit_length() - 1).reshape(-1, n, n)
+    return fft2_unphased(np.roll(atoms, 1, axis=(1, 2))).reshape(n * n, n * n)
+
+
 def build_preconditioned_matrix(plan):
     """Dense m x n^2 matrix with rows rho_j/sqrt(m) * (Fourier row in Haar basis).
 
@@ -112,10 +119,7 @@ def build_preconditioned_matrix(plan):
     n = plan.n
     if n > 16:
         raise ValueError(f"dense materialization limited to n <= 16, got {n}")
-    p = n.bit_length() - 1
-    lin = plan.lin
-    cols = [dft2_forward(haar_atom_2d(p, idx)).ravel()[lin] for idx in haar_indices(p)]
-    return (plan.rho[:, None] / np.sqrt(plan.m)) * np.stack(cols, axis=1)
+    return (plan.rho[:, None] / np.sqrt(plan.m)) * _atom_spectra(n)[:, plan.lin].T
 
 
 def isotropy_identity_error(density):
@@ -126,12 +130,9 @@ def isotropy_identity_error(density):
     be exactly the identity. Returns the max-abs deviation.
     """
     n = density.n
-    p = n.bit_length() - 1
     nu = density.values.ravel()
     rho2 = 1.0 / nu
-    a = np.stack(
-        [dft2_forward(haar_atom_2d(p, idx)).ravel() for idx in haar_indices(p)], axis=1
-    )
+    a = _atom_spectra(n).T
     gram = a.conj().T @ ((nu * rho2)[:, None] * a)
     return float(np.abs(gram - np.eye(n * n)).max())
 

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 from scipy.stats import mannwhitneyu
 
-from conftest import full_grid_plan
+from conftest import fourier_haar_inner_1d_direct, full_grid_plan
 from vdfourier.cli import main as cli_main
 from vdfourier.coherence import (
     fourier_haar_inner_1d,
-    fourier_haar_inner_1d_direct,
     kappa_l2,
     kappa_prime_table,
     kappa_table,

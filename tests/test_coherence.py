@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import fourier_haar_inner_1d_direct
 from vdfourier.coherence import (
     fourier_haar_inner_1d,
-    fourier_haar_inner_1d_direct,
     kappa_bound,
     kappa_l2,
     kappa_prime_bound,

@@ -1,18 +1,19 @@
 """Property tests (hypothesis) for the data-ball projection, the duplicate merge,
-the transforms, the partial DFT, the closed-form Fourier-Haar inner products and
-PGM round trips."""
+the discrete gradient, the transforms, the partial DFT, the closed-form Fourier-Haar
+inner products and PGM round trips."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import fourier_haar_inner_1d_direct
 from vdfourier.coherence import (
     _inner_1d,
     coherence_tables_1d,
     fourier_haar_inner_1d,
-    fourier_haar_inner_1d_direct,
 )
+from vdfourier.image_core import gradient, gradient_adjoint
 from vdfourier.pgm import read_pgm, write_pgm
 from vdfourier.sampling import SamplingPlan
 from vdfourier.solvers import _merge_draws, _project_ball
@@ -82,6 +83,34 @@ def test_project_ball_is_the_warm_startable_projection(p, seed, draws, w_spread,
     if r > 0:  # a point strictly inside comes back untouched
         inside, _, _ = _project_ball(v, lin, w, ybar, r / 2, 0.0)
         assert _project_ball(inside, lin, w, ybar, r, 0.0)[0] is inside
+
+
+# ---------------------------------------------------------------------------
+# discrete gradient
+
+@PROPERTY
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_gradient_adjoint_is_exact_on_the_padded_field(p, seed):
+    n = 1 << p
+    f = random_complex(seed, (n, n))
+    d = random_complex(seed + 1, (2, n, n))  # the pad entries d[0, -1] and d[1, :, -1] too
+    assert np.all(d[0, -1] != 0) and np.all(d[1, :, -1] != 0)
+    lhs = np.vdot(d, gradient(f))
+    rhs = np.vdot(gradient_adjoint(d), f)
+    assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(d) * np.linalg.norm(f)
+
+
+@PROPERTY
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), mix=st.floats(0.0, 1.0))
+def test_gradient_pads_are_zero_and_norm_is_at_most_sqrt8(p, seed, mix):
+    n = 1 << p
+    # blended with the checkerboard, the image on which ||grad f||^2 / ||f||^2 nears 8
+    t = np.arange(n)
+    f = (1 - mix) * random_complex(seed, (n, n)) + mix * (-1.0) ** (t[:, None] + t[None, :])
+    d = gradient(f)
+    assert d.shape == (2, n, n)
+    assert np.all(d[0, -1] == 0) and np.all(d[1, :, -1] == 0)
+    assert np.vdot(d, d).real <= 8 * np.vdot(f, f).real
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,8 @@ def test_power_law_matches_oracle_n64():
 def test_power_law_rejects_negative():
     with pytest.raises(ValueError):
         density_power_law(8, -0.1)
+    with pytest.raises(ValueError, match="alpha"):
+        density_power_law(8, math.nan)
 
 
 def test_power_law_infinite_is_degenerate():
@@ -126,11 +128,17 @@ def test_inverse_square_vs_power2_ratio_bracket():
     assert ratio.min() >= 0.5 and ratio.max() <= 2.0
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_density_validation():
     with pytest.raises(ValueError):
         Density(values=np.full((8, 8), 2.0 / 64))
     with pytest.raises(ValueError):
         Density(values=-np.ones((8, 8)) / 64)
+    for make in (lambda: Density(values=np.full((4, 4), np.nan)),
+                 lambda: Density(values=np.where(np.eye(4) > 0, np.inf, 0.0)),
+                 lambda: density_inverse_square(8, cap=0.0)):  # 0/0 in the normalization
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
 
 # ---------------------------------------------------------------------------

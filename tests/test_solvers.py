@@ -117,6 +117,13 @@ def test_add_noise_exact_level(model):
     assert np.linalg.norm(scaled) == pytest.approx(eps * np.sqrt(50), rel=1e-12)
 
 
+@pytest.mark.parametrize("eps", [-0.1, np.nan, np.inf])
+def test_add_noise_rejects_negative_or_nonfinite_eps(eps):
+    plan = draw_plan(density_inverse_square(8), 20, seed=1)
+    with pytest.raises(ValueError, match="eps"):
+        add_noise(np.zeros(20, dtype=complex), plan, eps)
+
+
 def test_add_noise_seed_reproducible():
     plan = draw_plan(density_inverse_square(8), 20, seed=1)
     clean = np.ones(20, dtype=complex)
