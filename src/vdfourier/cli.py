@@ -99,12 +99,15 @@ def _write_csv(path, header, rows):
 def _write_grid_csv(path, header, labels, *values):
     """One row per cell of an n x n grid: its two axis labels, then each value's repr.
 
-    Rows are built one grid row at a time, so only O(n) Python objects are alive.
+    Same bytes as :func:`_write_csv` (no field needs quoting), one write per grid row,
+    so only O(n) Python objects are alive.
     """
-    labels = labels.tolist()
-    _write_csv(path, header, itertools.chain.from_iterable(
-        zip(itertools.repeat(k1), labels, *(map(repr, v[i].tolist()) for v in values))
-        for i, k1 in enumerate(labels)))
+    labels = list(map(str, labels.tolist()))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for i, k1 in enumerate(labels):
+            cells = zip(itertools.repeat(k1), labels, *(map(repr, v[i].tolist()) for v in values))
+            fh.write("\r\n".join(map(",".join, cells)) + "\r\n")
 
 
 def _make_out(path):

@@ -88,10 +88,10 @@ def local_coherence_exact(n):
     """
     a0, a1 = coherence_tables_1d(n)
     mu = np.zeros((n, n))
-    # orientation blocks (0,1), (1,0), (1,1) share the scale index
+    # blocks (0,1), (1,0), (1,1) per scale; u >= 0, so max(u0 x u1, u1 x u1) = max(u0, u1) x u1
     for u0, u1 in zip(a0.T, a1.T):
-        for r, c in ((u0, u1), (u1, u0), (u1, u1)):
-            np.maximum(mu, np.multiply.outer(r, c), out=mu)
+        np.maximum(mu, np.multiply.outer(np.maximum(u0, u1), u1), out=mu)
+        np.maximum(mu, np.multiply.outer(u1, u0), out=mu)
     mu[0, 0] = max(mu[0, 0], 1.0)  # constant Fourier atom vs constant Haar atom
     return mu
 

@@ -124,6 +124,8 @@ def density_inverse_square(n, cap=1.0):
     The cap makes the mass finite at the zero frequency; with the default
     ``cap=1`` it binds only at radius <= 1.
     """
+    if not 0 < cap < math.inf:
+        raise ValueError(f"cap must be positive and finite, got {cap}")
     k1, k2 = freq_grids(n)
     r2 = k1.astype(float) ** 2 + k2.astype(float) ** 2
     inv = np.divide(1.0, r2, out=np.full_like(r2, np.inf), where=r2 > 0)

@@ -137,12 +137,21 @@ def haar_atom_2d(p, idx):
     return np.outer(haar_atom_1d(p, e[0], n, l[0]), haar_atom_1d(p, e[1], n, l[1]))
 
 
+def _haar_blocks(p):
+    """1-D factor stacks (A, B) of each atom block in canonical order (the constant atom, then
+    per scale (0,1), (1,0), (1,1)); a block's atoms are ``np.outer(A[l1], B[l2])``, shift-row-major.
+    """
+    t0 = haar_atom_1d(p, 0, 0, 0)[None]
+    yield t0, t0
+    for n in range(p):
+        w, s = (np.array([haar_atom_1d(p, e, n, l) for l in range(1 << n)]) for e in (0, 1))
+        yield from ((w, s), (s, w), (s, s))
+
+
 def haar_matrix(p):
     """Dense transform matrix: row per atom in canonical order."""
-    size = 1 << p
-    return np.array([haar_atom_2d(p, idx).ravel() for idx in haar_indices(p)]).reshape(
-        size * size, size * size
-    )
+    return np.concatenate([(a[:, None, :, None] * b[None, :, None, :]).reshape(-1, 4**p)
+                           for a, b in _haar_blocks(p)])
 
 
 def haar_forward(f):

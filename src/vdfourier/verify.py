@@ -12,14 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .image_core import as_image, tv_norm
-from .transforms import (
-    fft2_unphased,
-    haar_atom_2d,
-    haar_forward,
-    haar_indices,
-    haar_matrix,
-)
+from .image_core import as_image, is_power_of_two, tv_norm
+from .transforms import _haar_blocks, fft2_unphased, haar_forward, haar_matrix
 
 __all__ = [
     "RipEstimate",
@@ -137,27 +131,34 @@ def isotropy_identity_error(density):
     return float(np.abs(gram - np.eye(n * n)).max())
 
 
+def _side_exponent(n):
+    if not is_power_of_two(n) or n < 2:
+        raise ValueError(f"n must be a power of two >= 2, got {n}")
+    return n.bit_length() - 1
+
+
 def check_edge_lemma(n):
     """Max number of Haar atoms varying across any pair of adjacent pixels.
 
-    Scans every detail atom and counts, per adjacent pixel pair along each
-    axis, how many atoms take different values on the two pixels; the
-    maximum must be at most 6*p.
+    Counts, per adjacent pixel pair, the atoms taking different values on its two pixels
+    (at most 6*p); a (x) b varies across (t1, t1+1) at t2 iff a[t1+1] != a[t1] and b[t2] != 0.
     """
-    p = n.bit_length() - 1
-    count_x = np.zeros((n - 1, n), dtype=int)
-    count_y = np.zeros((n, n - 1), dtype=int)
-    for idx in haar_indices(p)[1:]:
-        atom = haar_atom_2d(p, idx)
-        count_x += np.abs(atom[1:, :] - atom[:-1, :]) > 0
-        count_y += np.abs(atom[:, 1:] - atom[:, :-1]) > 0
+    p = _side_exponent(n)
+    count_x, count_y = np.zeros((n - 1, n), dtype=int), np.zeros((n, n - 1), dtype=int)
+    for a, b in _haar_blocks(p):
+        count_x += np.outer((np.diff(a, axis=1) != 0).sum(0), (b != 0).sum(0))
+        count_y += np.outer((a != 0).sum(0), (np.diff(b, axis=1) != 0).sum(0))
     return int(max(count_x.max(), count_y.max()))
 
 
 def check_atom_tv(n):
-    """Max anisotropic TV over all Haar atoms of the side-n system (<= 8)."""
-    p = n.bit_length() - 1
-    return max(tv_norm(haar_atom_2d(p, idx)) for idx in haar_indices(p))
+    """Max anisotropic TV over all Haar atoms of the side-n system (<= 8).
+
+    TV(a (x) b) = ||Da||_1 ||b||_1 + ||a||_1 ||Db||_1, D the zero-padded forward difference.
+    """
+    norms = [[(np.abs(np.diff(x, axis=1)).sum(1), np.abs(x).sum(1)) for x in ab]
+             for ab in _haar_blocks(_side_exponent(n))]
+    return max(float((np.outer(da, nb) + np.outer(na, db)).max()) for (da, na), (db, nb) in norms)
 
 
 def check_coeff_decay(f):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from vdfourier.coherence import coherence_tables_1d
+from vdfourier.image_core import tv_norm
 from vdfourier.sampling import SamplingPlan
-from vdfourier.transforms import freq_values, haar_atom_1d
+from vdfourier.transforms import freq_values, haar_atom_1d, haar_atom_2d, haar_indices
 
 
 def full_grid_plan(n, rho_value=1.0):
@@ -18,6 +20,35 @@ def fourier_haar_inner_1d_direct(p, k, e, n, l):
     j = np.arange(size)
     atom = haar_atom_1d(p, e, n, l)
     return complex(np.sum(np.exp(2j * np.pi * k * j / size) * atom) / np.sqrt(size))
+
+
+def edge_lemma_loop(n):
+    """Per-atom oracle for :func:`vdfourier.verify.check_edge_lemma`."""
+    p = n.bit_length() - 1
+    count_x = np.zeros((n - 1, n), dtype=int)
+    count_y = np.zeros((n, n - 1), dtype=int)
+    for idx in haar_indices(p)[1:]:
+        atom = haar_atom_2d(p, idx)
+        count_x += np.abs(atom[1:, :] - atom[:-1, :]) > 0
+        count_y += np.abs(atom[:, 1:] - atom[:, :-1]) > 0
+    return int(max(count_x.max(), count_y.max()))
+
+
+def atom_tv_loop(n):
+    """Per-atom oracle for :func:`vdfourier.verify.check_atom_tv`."""
+    p = n.bit_length() - 1
+    return max(tv_norm(haar_atom_2d(p, idx)) for idx in haar_indices(p))
+
+
+def local_coherence_three_products(n):
+    """Oracle for :func:`vdfourier.coherence.local_coherence_exact`, one product per block."""
+    a0, a1 = coherence_tables_1d(n)
+    mu = np.zeros((n, n))
+    for u0, u1 in zip(a0.T, a1.T):
+        for r, c in ((u0, u1), (u1, u0), (u1, u1)):
+            np.maximum(mu, np.multiply.outer(r, c), out=mu)
+    mu[0, 0] = max(mu[0, 0], 1.0)
+    return mu
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import full_grid_plan
-from vdfourier.cli import main
+from vdfourier.cli import _write_grid_csv, main
 from vdfourier.coherence import kappa_l2, kappa_prime_table, kappa_table, local_coherence_exact
 from vdfourier.pgm import read_pgm, write_pgm
 from vdfourier.phantoms import shepp_logan
@@ -59,6 +59,20 @@ def test_cmd_coherence_grid_csvs_match_the_cell_loop(tmp_path):
         want = ["k1,k2,value"] + [f"{ks[i1]},{ks[i2]},{float(v)!r}"
                                   for (i1, i2), v in np.ndenumerate(table)]
         assert (out / f"{name}.csv").read_text().splitlines() == want
+
+
+def test_grid_csv_matches_csv_writer(tmp_path):
+    labels = np.array([0, 1, 2, -1])
+    re = np.array([[0.5, -1.25, np.nan, np.inf], [-np.inf, -0.0, 1e-300, 3.0],
+                   [-2.5e17, 7.0, 1e22, 0.1], [1.0 / 3, -1e-5, 2.0, -0.5]])
+    im = -re.T
+    _write_grid_csv(tmp_path / "grid.csv", ["t1", "t2", "real", "imag"], labels, re, im)
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t1", "t2", "real", "imag"])
+        w.writerows([k1, k2, repr(float(re[i, j])), repr(float(im[i, j]))]
+                    for i, k1 in enumerate(labels.tolist()) for j, k2 in enumerate(labels.tolist()))
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

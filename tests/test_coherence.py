@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fourier_haar_inner_1d_direct
+from conftest import fourier_haar_inner_1d_direct, local_coherence_three_products
 from vdfourier.coherence import (
     fourier_haar_inner_1d,
     kappa_bound,
@@ -93,6 +93,11 @@ def test_local_coherence_dc_entry_is_one():
 def test_local_coherence_matches_dense_oracle(n):
     mu = local_coherence_exact(n)
     assert np.abs(mu - dense_local_coherence(n)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
+def test_local_coherence_matches_the_three_product_loop(n):
+    assert np.array_equal(local_coherence_exact(n), local_coherence_three_products(n))
 
 
 def test_local_coherence_factored_nyquist_entry_n32():

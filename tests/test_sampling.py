@@ -118,6 +118,12 @@ def test_density_from_kappa():
         density_from_kappa(np.zeros((8, 8)))
 
 
+@pytest.mark.parametrize("cap", [-1.0, -0.01, 0.0, np.nan, np.inf])
+def test_inverse_square_rejects_a_bad_cap(cap):
+    with pytest.raises(ValueError, match="cap"):
+        density_inverse_square(8, cap=cap)
+
+
 def test_inverse_square_vs_power2_ratio_bracket():
     # same shape up to the +1 shift away from the origin
     a = density_inverse_square(32).values

@@ -135,6 +135,12 @@ def test_haar_matrix_orthonormal(p):
     assert np.abs(h @ h.T - np.eye(nn)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_haar_matrix_stacks_the_2d_atoms(p):
+    atoms = np.array([haar_atom_2d(p, idx).ravel() for idx in haar_indices(p)])
+    assert np.array_equal(haar_matrix(p), atoms)
+
+
 def test_haar_forward_matches_dense_matrix():
     for p in (1, 2, 3):
         rng = np.random.default_rng(50 + p)

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import full_grid_plan
+from conftest import atom_tv_loop, edge_lemma_loop, full_grid_plan
 from vdfourier.coherence import kappa_table
 from vdfourier.image_core import tv_norm
 from vdfourier.sampling import density_from_kappa, density_inverse_square, draw_plan
@@ -162,6 +162,19 @@ def test_atom_tv_constant_and_checkerboard():
 
 def test_atom_tv_regression_n16():
     assert check_atom_tv(16) == pytest.approx(8.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+def test_lemma_checks_match_the_per_atom_loops(n):
+    assert check_edge_lemma(n) == edge_lemma_loop(n)
+    assert check_atom_tv(n) == pytest.approx(atom_tv_loop(n), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("check", [check_edge_lemma, check_atom_tv])
+@pytest.mark.parametrize("n", [-2, 0, 1, 3, 12])
+def test_lemma_checks_reject_a_bad_side(check, n):
+    with pytest.raises(ValueError, match=f"power of two >= 2, got {n}"):
+        check(n)
 
 
 # ---------------------------------------------------------------------------
