@@ -99,14 +99,20 @@ def _write_csv(path, header, rows):
 def _write_grid_csv(path, header, labels, *values):
     """One row per cell of an n x n grid: its two axis labels, then each value's repr.
 
-    Same bytes as :func:`_write_csv` (no field needs quoting), one write per grid row,
-    so only O(n) Python objects are alive.
+    Same bytes as :func:`_write_csv`, one write per grid row. A grid with at most half as many
+    distinct bit patterns as cells reprs each once; others go row by row (O(n) objects alive).
     """
     labels = list(map(str, labels.tolist()))
+    cols = []
+    for bits in (np.ascontiguousarray(v, dtype=float).view(np.int64) for v in values):
+        keys = np.sort(bits, axis=None)  # bit patterns, so -0.0 and 0.0 stay apart
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+        cols.append((bits.view(float), repr) if 2 * keys.size > bits.size else
+                    (np.searchsorted(keys, bits), list(map(repr, keys.view(float).tolist())).__getitem__))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for i, k1 in enumerate(labels):
-            cells = zip(itertools.repeat(k1), labels, *(map(repr, v[i].tolist()) for v in values))
+            cells = zip(itertools.repeat(k1), labels, *(map(f, a[i].tolist()) for a, f in cols))
             fh.write("\r\n".join(map(",".join, cells)) + "\r\n")
 
 

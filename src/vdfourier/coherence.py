@@ -81,18 +81,21 @@ def coherence_tables_1d(n):
 def local_coherence_exact(n):
     """Exact local coherence of the 2-D Fourier basis against bivariate Haar.
 
-    Entry (k1 % n, k2 % n) is the supremum over all Haar atoms of the
-    bivariate inner-product magnitude, computed from the factored 1-D
-    tables; the constant atom contributes exactly at the zero frequency.
-    A running maximum over scales and orientations keeps memory at O(n^2).
+    Entry (k1 % n, k2 % n) is the supremum over all Haar atoms (the constant one exactly at DC)
+    of the bivariate inner-product magnitude, from the factored 1-D tables, which are even in k
+    bit for bit: an O(n^2)-memory running maximum fills indices 0..n/2; i reads min(i, n - i).
     """
+    h = n // 2 + 1
     a0, a1 = coherence_tables_1d(n)
     mu = np.zeros((n, n))
+    q = mu[:h, :h]
     # blocks (0,1), (1,0), (1,1) per scale; u >= 0, so max(u0 x u1, u1 x u1) = max(u0, u1) x u1
-    for u0, u1 in zip(a0.T, a1.T):
-        np.maximum(mu, np.multiply.outer(np.maximum(u0, u1), u1), out=mu)
-        np.maximum(mu, np.multiply.outer(u1, u0), out=mu)
-    mu[0, 0] = max(mu[0, 0], 1.0)  # constant Fourier atom vs constant Haar atom
+    for u0, u1 in zip(a0[:h].T, a1[:h].T):
+        np.maximum(q, np.multiply.outer(np.maximum(u0, u1), u1), out=q)
+        np.maximum(q, np.multiply.outer(u1, u0), out=q)
+    q[0, 0] = max(q[0, 0], 1.0)  # constant Fourier atom vs constant Haar atom
+    mu[h:, :h] = mu[h - 2 : 0 : -1, :h]
+    mu[:, h:] = mu[:, h - 2 : 0 : -1]
     return mu
 
 

@@ -10,7 +10,7 @@ __all__ = ["read_pgm", "write_pgm"]
 
 
 def _tokens(data):
-    """Yield whitespace-separated header tokens, skipping # comments."""
+    """Yield whitespace-separated header tokens, skipping # comments; raise at end of data."""
     i = 0
     while i < len(data):
         c = data[i : i + 1]
@@ -25,6 +25,7 @@ def _tokens(data):
                 j += 1
             yield data[i:j], j
             i = j
+    raise ValueError("truncated PGM header")
 
 
 def read_pgm(path):

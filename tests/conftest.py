@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,26 @@ def local_coherence_three_products(n):
             np.maximum(mu, np.multiply.outer(r, c), out=mu)
     mu[0, 0] = max(mu[0, 0], 1.0)
     return mu
+
+
+def local_coherence_full_grid(n):
+    """Oracle for :func:`vdfourier.coherence.local_coherence_exact`: the running max over all n^2 cells."""
+    a0, a1 = coherence_tables_1d(n)
+    mu = np.zeros((n, n))
+    for u0, u1 in zip(a0.T, a1.T):
+        np.maximum(mu, np.multiply.outer(np.maximum(u0, u1), u1), out=mu)
+        np.maximum(mu, np.multiply.outer(u1, u0), out=mu)
+    mu[0, 0] = max(mu[0, 0], 1.0)
+    return mu
+
+
+def write_grid_oracle(path, header, labels, *values):
+    """Reference bytes for :func:`vdfourier.cli._write_grid_csv`: csv.writer over every cell."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([k1, k2, *(repr(float(v[i, j])) for v in values)]
+                    for i, k1 in enumerate(labels.tolist()) for j, k2 in enumerate(labels.tolist()))
 
 
 @pytest.fixture

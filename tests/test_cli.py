@@ -1,11 +1,12 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import full_grid_plan
+from conftest import full_grid_plan, write_grid_oracle
 from vdfourier.cli import _write_grid_csv, main
 from vdfourier.coherence import kappa_l2, kappa_prime_table, kappa_table, local_coherence_exact
 from vdfourier.pgm import read_pgm, write_pgm
@@ -73,6 +74,45 @@ def test_grid_csv_matches_csv_writer(tmp_path):
         w.writerows([k1, k2, repr(float(re[i, j])), repr(float(im[i, j]))]
                     for i, k1 in enumerate(labels.tolist()) for j, k2 in enumerate(labels.tolist()))
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_grid_csv_with_repeats_matches_csv_writer(tmp_path):
+    # one array holds -0.0 and 0.0, several nans and both infinities among heavy repeats,
+    # so a value-keyed dedup that merges -0.0 into 0.0 would show
+    labels = np.array([0, 1, 2, 3, -4, -3, -2, -1])
+    pool = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, 1.0 / 3])
+    vals = pool[np.arange(64).reshape(8, 8) % pool.size]
+    vals[7, 7] = -np.nan
+    zeros = vals[vals == 0.0]
+    assert 0 < np.signbit(zeros).sum() < zeros.size  # both -0.0 and 0.0 are present
+    for header, values in ((["k1", "k2", "value"], (vals,)),
+                           (["t1", "t2", "real", "imag"], (vals, vals.T[::-1]))):
+        _write_grid_csv(tmp_path / "grid.csv", header, labels, *values)
+        write_grid_oracle(tmp_path / "want.csv", header, labels, *values)
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_grid_csv_all_distinct_matches_csv_writer(tmp_path):
+    rng = np.random.default_rng(3)
+    labels = np.arange(16)
+    re, im = rng.standard_normal((2, 16, 16)) * 10.0 ** rng.integers(-300, 300, (2, 16, 16))
+    _write_grid_csv(tmp_path / "grid.csv", ["t1", "t2", "real", "imag"], labels, re, im)
+    write_grid_oracle(tmp_path / "want.csv", ["t1", "t2", "real", "imag"], labels, re, im)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_grid_csv_memory_on_distinct_values(tmp_path):
+    # an all-distinct grid (as recon_complex.csv is) is written row by row: measured about 17 bytes
+    # per cell (the sorted bit patterns), against about 210 when every grid keeps one repr per cell
+    n = 256
+    re, im = np.random.default_rng(0).standard_normal((2, n, n))
+    tracemalloc.start()
+    try:
+        _write_grid_csv(tmp_path / "grid.csv", ["t1", "t2", "real", "imag"], np.arange(n), re, im)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * n * n
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +362,16 @@ def test_cmd_sweep_rejects_bad_input(tmp_path):
         main(args + ["--alphas", "2", "--eps", "0.1"])
     assert exc.value.code == 2
     assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("data", [b"", b"P5\n4 4\n", b"P2\n"], ids=["empty", "no-maxval", "p2-no-size"])
+def test_cmd_reconstruct_and_sweep_reject_truncated_pgm_header(tmp_path, data):
+    img_path = tmp_path / "bad.pgm"
+    img_path.write_bytes(data)
+    for args in (["reconstruct", "--density", "uniform", "--m", "4"], ["sweep", "--alphas", "2", "--m", "4"]):
+        out = tmp_path / args[0]
+        assert main(args + ["--image", str(img_path), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_cmd_sweep_parallel_matches_serial(tmp_path):

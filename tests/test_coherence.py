@@ -3,8 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import fourier_haar_inner_1d_direct, local_coherence_three_products
+from conftest import (
+    fourier_haar_inner_1d_direct,
+    local_coherence_full_grid,
+    local_coherence_three_products,
+)
 from vdfourier.coherence import (
+    coherence_tables_1d,
     fourier_haar_inner_1d,
     kappa_bound,
     kappa_l2,
@@ -100,6 +105,19 @@ def test_local_coherence_matches_the_three_product_loop(n):
     assert np.array_equal(local_coherence_exact(n), local_coherence_three_products(n))
 
 
+@pytest.mark.parametrize("n", [1 << p for p in range(1, 11)])
+def test_local_coherence_quadrant_mirror_matches_the_full_grid(n):
+    assert np.array_equal(local_coherence_exact(n), local_coherence_full_grid(n))
+
+
+@pytest.mark.parametrize("n", [1 << p for p in range(1, 12)])
+def test_coherence_tables_are_even_bit_for_bit(n):
+    # storage index i holds frequency k and index n - i holds -k; the Nyquist index n/2 is its own mirror
+    idx = np.r_[0 : n // 2 + 1, n // 2 - 1 : 0 : -1]
+    for a in coherence_tables_1d(n):
+        assert np.array_equal(a.view(np.int64)[idx], a.view(np.int64))
+
+
 def test_local_coherence_factored_nyquist_entry_n32():
     n = 32
     mu = local_coherence_exact(n)
@@ -128,7 +146,6 @@ def test_coherence_chain_up_to_256():
 def test_bivariate_magnitude_factorizes_per_index(n):
     # |<phi_{k1,k2}, h>| equals the product of the univariate magnitudes for
     # every frequency and every atom, not only at the supremum
-    from vdfourier.coherence import coherence_tables_1d
     from vdfourier.transforms import haar_indices
 
     p = n.bit_length() - 1

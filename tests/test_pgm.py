@@ -51,6 +51,14 @@ def test_read_rejects_bad_files(tmp_path):
         read_pgm(trunc)
 
 
+@pytest.mark.parametrize("data", [b"", b"P5\n4 4\n", b"P2\n"], ids=["empty", "no-maxval", "p2-no-size"])
+def test_read_rejects_truncated_header(tmp_path, data):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="truncated PGM header"):
+        read_pgm(path)
+
+
 def test_write_rejects_bad_maxval(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "g.pgm", np.zeros((2, 2)), maxval=70000)

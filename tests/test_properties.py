@@ -1,13 +1,14 @@
 """Property tests (hypothesis) for the data-ball projection, the duplicate merge,
 the discrete gradient, the transforms, the partial DFT, the closed-form Fourier-Haar
-inner products and PGM round trips."""
+inner products, the grid CSV writer and PGM round trips."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import fourier_haar_inner_1d_direct
+from conftest import fourier_haar_inner_1d_direct, write_grid_oracle
+from vdfourier.cli import _write_grid_csv
 from vdfourier.coherence import (
     _inner_1d,
     coherence_tables_1d,
@@ -233,6 +234,25 @@ def test_coherence_tables_match_scalar_inner_product(p, seed):
             for s in range(p):
                 want = abs(fourier_haar_inner_1d(p, int(ks[i]), e, s, 0))
                 assert abs(tables[e][i, s] - want) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# grid CSV writer
+
+@PROPERTY
+@given(n=st.integers(1, 8), columns=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       pool=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=64))
+def test_grid_csv_matches_csv_writer_from_a_value_pool(tmp_path_factory, n, columns, seed, pool):
+    # a small pool against n^2 cells takes the distinct-value path, a large one the row-by-row path
+    rng = np.random.default_rng(seed)
+    pool = np.array(pool + [-0.0, 0.0, float("nan")])
+    values = [pool[rng.integers(0, pool.size, (n, n))] for _ in range(columns)]
+    labels = np.arange(n) - n // 2
+    header = ["k1", "k2"] + [f"v{c}" for c in range(columns)]
+    out = tmp_path_factory.mktemp("grid")
+    _write_grid_csv(out / "grid.csv", header, labels, *values)
+    write_grid_oracle(out / "want.csv", header, labels, *values)
+    assert (out / "grid.csv").read_bytes() == (out / "want.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
