@@ -1,8 +1,10 @@
 """Command-line front end: coherence tables, masks, reconstructions, sweeps.
 
-Commands emit tidy CSV/JSON artifacts plus a run manifest that pins every
-input (seeds included), so a run can be reproduced bit-exactly from its
-manifest. Plotting is left to external tools.
+Commands emit tidy CSV/JSON artifacts plus a ``manifest.json`` holding the
+command, the package version, the image side n and every parsed flag under
+``"args"`` (seeds included). Running ``main`` on those flags again, with a new
+``--out``, rewrites every other artifact byte for byte. Plotting is left to
+external tools.
 
 Exit codes: 0 success, 2 invalid input, 3 solver non-convergence,
 4 verification failure.
@@ -16,7 +18,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -64,25 +66,6 @@ class CliError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    n: int
-    out_dir: str
-    image: str | None = None
-    density: str | None = None
-    m: int | None = None
-    seed: int | None = None
-    epsilon: float | None = None
-    noise_model: str | None = None
-    solver: str | None = None
-    solver_options: dict | None = None
-    version: str = __version__
-
-    def write(self, path):
-        _write_json(path, asdict(self))
-
-
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=float)
@@ -122,42 +105,52 @@ def _make_out(path):
     return out
 
 
-def _parse_density_spec(spec):
-    """Split a --density value into (kind, parameter)."""
-    if spec in ("uniform", "inv-square", "inv-max", "lowpass"):
-        return spec, None
-    if spec.startswith("power:"):
-        alpha = float(spec.split(":", 1)[1])  # float() parses inf
-        if not alpha >= 0:
-            raise CliError(f"power-law exponent must be >= 0, got {alpha}")
-        return "power", alpha
-    if spec.startswith("radial:"):
-        lines = int(spec.split(":", 1)[1])
-        if lines < 1:
-            raise CliError("radial line count must be >= 1")
-        return "radial", lines
-    raise CliError(f"unknown density spec {spec!r}")
+def _write_manifest(out, args, n):
+    """The run's record: every parsed flag, so ``main`` on them reproduces the run."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    _write_json(out / "manifest.json",
+                {"command": args.command, "version": __version__, "n": n, "args": flags})
+
+
+def _check_row(claim, bound, measured, ok, **where):
+    """One row of a check table (``where`` names its case, e.g. n); prints its PASS/FAIL line."""
+    print(f"[{'PASS' if ok else 'FAIL'}]", *(f"{k}={v}" for k, v in where.items()),
+          f"{claim}: measured {measured:.6g}")
+    return {"claim": claim, **where, "bound": bound, "measured": measured, "pass": bool(ok)}
+
+
+def _power_exponent(text):
+    alpha = float(text)  # float() parses inf
+    if not alpha >= 0:
+        raise CliError(f"power-law exponent must be >= 0, got {alpha}")
+    return alpha
+
+
+_DENSITY_SPECS = "uniform|inv-square|inv-max|power:<a>|lowpass|radial:<L>"
+_DENSITIES = {"uniform": density_uniform, "inv-square": density_inverse_square,
+              "inv-max": density_inverse_max, "lowpass": None}  # None: the lowest m frequencies
 
 
 def _build_plan(n, spec, m, seed):
-    kind, param = _parse_density_spec(spec)
-    if kind == "lowpass" or (kind == "power" and math.isinf(param)):
-        if m is None:
-            raise CliError("lowpass sampling requires --m")
-        return deterministic_mask(n, "lowest_frequencies", m=m)
-    if kind == "radial":
-        return deterministic_mask(n, "radial_lines", lines=param)
+    """The plan a --density spec names; the spec is checked before --m is."""
+    kind, colon, param = spec.partition(":")
+    if colon and kind == "radial":
+        lines = int(param)
+        if lines < 1:
+            raise CliError("radial line count must be >= 1")
+        return deterministic_mask(n, "radial_lines", lines=lines)
+    if colon and kind == "power":
+        alpha = _power_exponent(param)
+        density = None if math.isinf(alpha) else functools.partial(density_power_law, alpha=alpha)
+    elif spec in _DENSITIES:
+        density = _DENSITIES[spec]
+    else:
+        raise CliError(f"unknown density spec {spec!r}")
     if m is None:
         raise CliError(f"density {spec!r} requires --m")
-    if kind == "uniform":
-        density = density_uniform(n)
-    elif kind == "inv-square":
-        density = density_inverse_square(n)
-    elif kind == "inv-max":
-        density = density_inverse_max(n)
-    else:
-        density = density_power_law(n, param)
-    return draw_plan(density, m, seed)
+    if density is None:
+        return deterministic_mask(n, "lowest_frequencies", m=m)
+    return draw_plan(density(n), m, seed)
 
 
 def _check_n(n, limit=256):
@@ -184,26 +177,20 @@ def cmd_coherence(args):
     l2k = kappa_l2(n, "kappa")
     l2kp = kappa_l2(n, "kappa_prime")
     checks = [
-        {"claim": "local_coherence <= kappa", "bound": 1e-9,
-         "measured": float((mu - kap).max()), "pass": bool((mu <= kap + 1e-9).all())},
-        {"claim": "kappa <= kappa_prime", "bound": 0.0,
-         "measured": float((kap - kapp).max()), "pass": bool((kap <= kapp + 1e-15).all())},
-        {"claim": "univariate ratio <= 1", "bound": 1.0,
-         "measured": uni["max_ratio"], "pass": bool(uni["max_ratio"] <= 1.0)},
-        {"claim": "corollary ratio <= 1", "bound": 1.0,
-         "measured": uni["max_corollary_ratio"],
-         "pass": bool(uni["max_corollary_ratio"] <= 1.0)},
+        _check_row("local_coherence <= kappa", 1e-9, float((mu - kap).max()),
+                   (mu <= kap + 1e-9).all()),
+        _check_row("kappa <= kappa_prime", 0.0, float((kap - kapp).max()),
+                   (kap <= kapp + 1e-15).all()),
+        _check_row("univariate ratio <= 1", 1.0, uni["max_ratio"], uni["max_ratio"] <= 1.0),
+        _check_row("corollary ratio <= 1", 1.0, uni["max_corollary_ratio"],
+                   uni["max_corollary_ratio"] <= 1.0),
     ]
     if p >= 8:
         bound = 52 * math.sqrt(p)
-        checks.append({"claim": "kappa_prime l2 <= 52 sqrt(p)", "bound": bound,
-                       "measured": l2kp, "pass": bool(l2kp <= bound)})
+        checks.append(_check_row("kappa_prime l2 <= 52 sqrt(p)", bound, l2kp, l2kp <= bound))
     _write_json(out / "report.json",
                 {"n": n, "kappa_l2": l2k, "kappa_prime_l2": l2kp, "checks": checks})
-
-    RunManifest("coherence", n, str(out)).write(out / "manifest.json")
-    for c in checks:
-        print(f"[{'PASS' if c['pass'] else 'FAIL'}] {c['claim']}: measured {c['measured']:.6g}")
+    _write_manifest(out, args, n)
     return EXIT_OK
 
 
@@ -216,8 +203,7 @@ def cmd_sample(args):
     out = _make_out(args.out)
     plan.to_csv(out / "plan.csv")
     write_pgm(out / "mask.pgm", np.fft.fftshift(plan.mask()))
-    RunManifest("sample", args.n, str(out), density=args.density, m=plan.m,
-                seed=args.seed).write(out / "manifest.json")
+    _write_manifest(out, args, args.n)
     print(f"wrote plan with m={plan.m} ({plan.m - np.unique(plan.lin).size} duplicate draws)")
     return EXIT_OK
 
@@ -249,12 +235,8 @@ def _reconstruct_once(f, plan, solver, opts, noise_seed):
 def cmd_reconstruct(args):
     f, maxval = _load_image(args.image)
     n = f.shape[0]
-    if args.plan:
-        plan = SamplingPlan.from_csv(args.plan, n)
-    else:
-        if args.density is None:
-            raise CliError("either --plan or --density is required")
-        plan = _build_plan(n, args.density, args.m, args.seed)
+    plan = (SamplingPlan.from_csv(args.plan, n) if args.plan is not None
+            else _build_plan(n, args.density, args.m, args.seed))
     opts = _solver_options(args, args.eps)
     out = _make_out(args.out)
     recon, report, err = _reconstruct_once(f, plan, args.solver, opts,
@@ -267,9 +249,7 @@ def cmd_reconstruct(args):
     _write_csv(out / "error.csv", ["quantity", "value"], [["relative_l2_error", repr(err)]])
     _write_json(out / "report.json", asdict(report))
     plan.to_csv(out / "plan.csv")
-    RunManifest("reconstruct", n, str(out), image=args.image, density=args.density,
-                m=plan.m, seed=args.seed, epsilon=args.eps, noise_model=args.noise_model,
-                solver=args.solver, solver_options=asdict(opts)).write(out / "manifest.json")
+    _write_manifest(out, args, n)
     print(f"relative l2 error: {err:.6g} (converged={report.converged}, "
           f"iterations={report.iterations})")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
@@ -298,7 +278,7 @@ def _sweep_cell(task):
 
 def cmd_sweep(args):
     f, _ = _load_image(args.image)
-    alphas = [_parse_density_spec(f"power:{a}")[1] for a in args.alphas.split(",")]
+    alphas = [_power_exponent(a) for a in args.alphas.split(",")]
     eps_list = [float(e) for e in args.eps_list.split(",")]
     opts_list = [_solver_options(args, eps) for eps in eps_list]
     for flag in ("trials", "m", "jobs"):
@@ -320,11 +300,7 @@ def cmd_sweep(args):
         rows = [_sweep_cell(t) for t in tasks]
 
     _write_csv(out / "sweep.csv", SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
-    RunManifest("sweep", f.shape[0], str(out), image=args.image,
-                density=f"power:{args.alphas}", m=args.m, seed=args.seed,
-                noise_model=args.noise_model, solver=args.solver,
-                solver_options={"eps_list": eps_list, "trials": args.trials,
-                                "jobs": args.jobs}).write(out / "manifest.json")
+    _write_manifest(out, args, f.shape[0])
     bad = sum(r["status"] != "ok" for r in rows)
     print(f"sweep finished: {len(rows)} cells, {bad} failed")
     return EXIT_OK
@@ -343,38 +319,29 @@ def cmd_verify(args):
     for n in n_list:
         p = n.bit_length() - 1
         edge = check_edge_lemma(n)
-        results.append({"claim": "edge crossings <= 6p", "n": n, "bound": 6 * p,
-                        "measured": edge, "pass": edge <= 6 * p})
+        results.append(_check_row("edge crossings <= 6p", 6 * p, edge, edge <= 6 * p, n=n))
         atom_tv = check_atom_tv(n)
-        results.append({"claim": "atom TV <= 8", "n": n, "bound": 8.0,
-                        "measured": atom_tv, "pass": atom_tv <= 8.0 + 1e-9})
-        uni = univariate_coherence_bound_check(n)
-        results.append({"claim": "univariate ratio <= 1", "n": n, "bound": 1.0,
-                        "measured": uni["max_ratio"], "pass": uni["max_ratio"] <= 1.0})
+        results.append(_check_row("atom TV <= 8", 8.0, atom_tv, atom_tv <= 8.0 + 1e-9, n=n))
+        ratio = univariate_coherence_bound_check(n)["max_ratio"]
+        results.append(_check_row("univariate ratio <= 1", 1.0, ratio, ratio <= 1.0, n=n))
 
     iso = isotropy_identity_error(density_from_kappa(kappa_table(8)))
-    results.append({"claim": "preconditioned isotropy identity", "n": 8,
-                    "bound": 1e-10, "measured": iso, "pass": iso <= 1e-10})
+    results.append(_check_row("preconditioned isotropy identity", 1e-10, iso, iso <= 1e-10, n=8))
 
     ks = freq_values(8)
     freqs = np.stack(np.meshgrid(ks, ks, indexing="ij"), axis=-1).reshape(-1, 2)
     full = SamplingPlan(n=8, freqs=freqs, rho=np.full(64, 8.0))
     delta = rip_exact(build_preconditioned_matrix(full), 2).delta
-    results.append({"claim": "full-sampling RIP delta_2 = 0", "n": 8, "bound": 1e-10,
-                    "measured": delta, "pass": delta <= 1e-10})
+    results.append(_check_row("full-sampling RIP delta_2 = 0", 1e-10, delta, delta <= 1e-10, n=8))
 
     mean_zero = np.add.outer(np.linspace(-1, 1, 16), np.linspace(-1, 1, 16))
     decay = check_coeff_decay(mean_zero)
-    results.append({"claim": "coefficient decay constant finite", "n": 16,
-                    "bound": None, "measured": decay, "pass": math.isfinite(decay)})
+    results.append(_check_row("coefficient decay constant finite", None, decay,
+                              math.isfinite(decay), n=16))
 
     all_pass = all(r["pass"] for r in results)
     _write_json(out / "verify.json", {"all_pass": all_pass, "results": results})
-    RunManifest("verify", max(n_list), str(out),
-                solver_options={"n_list": n_list}).write(out / "manifest.json")
-    for r in results:
-        print(f"[{'PASS' if r['pass'] else 'FAIL'}] n={r['n']} {r['claim']}: "
-              f"{r['measured']:.6g}")
+    _write_manifest(out, args, max(n_list))
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
@@ -405,8 +372,7 @@ def build_parser():
 
     sp = sub.add_parser("sample", help="draw a sampling plan and mask image")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--density", required=True,
-                    help="uniform|inv-square|inv-max|power:<a>|lowpass|radial:<L>")
+    sp.add_argument("--density", required=True, help=_DENSITY_SPECS)
     sp.add_argument("--m", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
@@ -414,8 +380,9 @@ def build_parser():
 
     sp = sub.add_parser("reconstruct", help="reconstruct a PGM image from partial DFT")
     sp.add_argument("--image", required=True)
-    sp.add_argument("--plan", help="existing plan CSV (overrides --density)")
-    sp.add_argument("--density")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--plan", help="existing plan CSV")
+    source.add_argument("--density", help=_DENSITY_SPECS)
     sp.add_argument("--m", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)

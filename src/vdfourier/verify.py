@@ -58,16 +58,22 @@ def _delta_over_supports(gram, supports):
     return float(np.abs(eig - 1.0).max())
 
 
+def _support_columns(a, s):
+    """``a`` as an array and its column count n, once ``1 <= s <= n`` is checked."""
+    a = np.asarray(a)
+    n = a.shape[1]
+    if not 1 <= s <= n:
+        raise ValueError(f"s must be in [1, {n}], got {s}")
+    return a, n
+
+
 def rip_exact(a, s):
     """Exact delta_s of a matrix by enumerating all size-s column supports.
 
     Refuses when the support count exceeds the enumeration budget; use
     :func:`rip_monte_carlo` for a seeded lower bound in that case.
     """
-    a = np.asarray(a)
-    n = a.shape[1]
-    if not 1 <= s <= n:
-        raise ValueError(f"s must be in [1, {n}], got {s}")
+    a, n = _support_columns(a, s)
     count = math.comb(n, s)
     if count > ENUMERATION_BUDGET:
         raise ValueError(
@@ -85,8 +91,7 @@ def rip_exact(a, s):
 
 def rip_monte_carlo(a, s, trials, seed=0):
     """Lower bound on delta_s from random supports; deterministic per seed."""
-    a = np.asarray(a)
-    n = a.shape[1]
+    a, n = _support_columns(a, s)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)

@@ -24,6 +24,13 @@ def write_test_image(path, n=16):
     return img
 
 
+def manifest_argv(out):
+    """The command line that ``out/manifest.json`` records, with its ``--out``."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    return [manifest["command"]] + [arg for k, v in manifest["args"].items() if v is not None
+                                    for arg in (f"--{k.replace('_', '-')}", str(v))]
+
+
 # ---------------------------------------------------------------------------
 # coherence
 
@@ -296,8 +303,64 @@ def test_cmd_reconstruct_manifest_reproducibility(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_cmd_reconstruct_needs_exactly_one_of_plan_and_density(tmp_path, both):
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    plan_path = tmp_path / "full.csv"
+    full_grid_plan(16, rho_value=16.0).to_csv(plan_path)
+    source = ["--plan", str(plan_path), "--density", "inv-square"] if both else []
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--image", str(img_path), "--m", "100", *source,
+              "--out", str(tmp_path / "rec")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "rec").exists()
+
+
+def test_manifest_args_replay_every_artifact(tmp_path):
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    full_grid_plan(16, rho_value=16.0).to_csv(tmp_path / "full.csv")
+    runs = {
+        "plan": ["reconstruct", "--image", str(img_path), "--plan", str(tmp_path / "full.csv"),
+                 "--eps", "0.05", "--max-iters", "300"],
+        "density": ["reconstruct", "--image", str(img_path), "--density", "inv-square",
+                    "--m", "120", "--seed", "5", "--eps", "0.05", "--noise-model", "weighted",
+                    "--solver", "haar", "--max-iters", "300"],
+        "sweep": ["sweep", "--image", str(img_path), "--alphas", "0,inf", "--eps-list", "0,0.1",
+                  "--m", "60", "--seed", "2", "--max-iters", "200"],
+    }
+    for name, argv in runs.items():
+        first, again = tmp_path / name, tmp_path / f"{name}-again"
+        main(argv + ["--out", str(first)])
+        recorded = manifest_argv(first)
+        assert recorded[recorded.index("--out") + 1] == str(first)
+        recorded[recorded.index("--out") + 1] = str(again)
+        main(recorded)
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        for artifact in set(names) - {"manifest.json"}:
+            assert (first / artifact).read_bytes() == (again / artifact).read_bytes(), artifact
+        assert manifest_argv(again) == recorded
+
+
 # ---------------------------------------------------------------------------
 # sweep
+
+def test_cmd_sweep_manifest_records_max_iters(tmp_path):
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    args = ["sweep", "--image", str(img_path), "--alphas", "2", "--m", "60", "--out"]
+    manifests = []
+    for iters in ("40", "50"):
+        out = tmp_path / iters
+        assert main(args + [str(out), "--max-iters", iters]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["args"].pop("out") == str(out)
+        manifests.append(manifest)
+    assert manifests[0] != manifests[1]
+    assert [m["args"]["max_iters"] for m in manifests] == [40, 50]
+
 
 def test_cmd_sweep_rows_and_columns(tmp_path):
     img_path = tmp_path / "in.pgm"

@@ -82,6 +82,14 @@ def test_rip_monte_carlo_lower_bound_and_reproducible():
     assert rip_monte_carlo(q, 3, trials=20, seed=6).delta <= 1e-12
 
 
+@pytest.mark.parametrize("estimate", [rip_exact, lambda a, s: rip_monte_carlo(a, s, trials=5)],
+                         ids=["exact", "monte_carlo"])
+@pytest.mark.parametrize("s", [0, -1, 5])
+def test_rip_rejects_support_size_outside_the_columns(estimate, s):
+    with pytest.raises(ValueError, match=rf"s must be in \[1, 4\], got {s}"):
+        estimate(np.eye(4), s)
+
+
 # ---------------------------------------------------------------------------
 # preconditioned measurement matrix
 
