@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid input, 3 solver non-convergence,
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
@@ -31,7 +32,7 @@ from .coherence import (
     local_coherence_exact,
     univariate_coherence_bound_check,
 )
-from .image_core import is_power_of_two
+from .image_core import as_image, side_exponent
 from .pgm import read_pgm, write_pgm
 from .sampling import (
     SamplingPlan,
@@ -154,18 +155,20 @@ def _build_plan(n, spec, m, seed):
 
 
 def _check_n(n, limit=256):
-    if not is_power_of_two(n) or n < 2 or n > limit:
-        raise CliError(f"--n must be a power of two in [2, {limit}], got {n}")
+    """The p of ``--n`` = 2**p <= limit."""
+    if n <= limit:
+        with contextlib.suppress(ValueError):
+            return side_exponent(n)
+    raise CliError(f"--n must be a power of two in [2, {limit}], got {n}")
 
 
 # ---------------------------------------------------------------------------
 # coherence
 
 def cmd_coherence(args):
-    _check_n(args.n)
+    p = _check_n(args.n)
     out = _make_out(args.out)
     n = args.n
-    p = n.bit_length() - 1
 
     mu = local_coherence_exact(n)
     kap = kappa_table(n)
@@ -218,8 +221,7 @@ def _solver_options(args, eps):
 
 def _load_image(path):
     pixels, maxval = read_pgm(path)
-    if pixels.shape[0] != pixels.shape[1] or not is_power_of_two(pixels.shape[0]):
-        raise CliError(f"image must be square with power-of-two side, got {pixels.shape}")
+    as_image(pixels)  # the image rules: square, side 2**p with p >= 1
     return pixels, maxval
 
 
@@ -311,13 +313,11 @@ def cmd_sweep(args):
 
 def cmd_verify(args):
     n_list = [int(v) for v in args.n_list.split(",")]
-    for n in n_list:
-        _check_n(n, limit=64)
+    p_list = [_check_n(n, limit=64) for n in n_list]
     out = _make_out(args.out)
 
     results = []
-    for n in n_list:
-        p = n.bit_length() - 1
+    for n, p in zip(n_list, p_list):
         edge = check_edge_lemma(n)
         results.append(_check_row("edge crossings <= 6p", 6 * p, edge, edge <= 6 * p, n=n))
         atom_tv = check_atom_tv(n)

@@ -9,8 +9,8 @@ the exact supremum costs O(n^2 log n) instead of the O(n^6) dense scan.
 
 import numpy as np
 
-from .image_core import is_power_of_two
-from .transforms import freq_values
+from .image_core import side_exponent
+from .transforms import _check_1d_index, freq_values
 
 __all__ = [
     "fourier_haar_inner_1d",
@@ -25,14 +25,6 @@ __all__ = [
 ]
 
 KAPPA_SCALE = 18 * np.pi  # frequency scale of the coherence decay bounds
-
-
-def _check_args(p, k, n):
-    size = 1 << p
-    if not -size // 2 + 1 <= k <= size // 2:
-        raise ValueError(f"frequency {k} out of range for p={p}")
-    if not 0 <= n < p:
-        raise ValueError(f"scale n must satisfy 0 <= n < {p}, got {n}")
 
 
 def _inner_1d(p, k, e, scale, l):
@@ -56,11 +48,9 @@ def fourier_haar_inner_1d(p, k, e, n, l):
     with the zero-frequency special cases <phi_0, h^1> = 0 and
     <phi_0, h^0> = 2^(-n/2).
     """
-    _check_args(p, k, n)
-    if e not in (0, 1):
-        raise ValueError(f"e must be 0 or 1, got {e}")
-    if not 0 <= l < (1 << n):
-        raise ValueError(f"shift l out of range for scale {n}")
+    _check_1d_index(p, e, n, l)
+    if not -(1 << p) // 2 + 1 <= k <= (1 << p) // 2:
+        raise ValueError(f"frequency {k} out of range for p={p}")
     return complex(_inner_1d(p, k, e, n, l))
 
 
@@ -71,9 +61,7 @@ def coherence_tables_1d(n):
     The magnitude is shift-independent (the shift only rotates the phase),
     so a single shift per (k, e, scale) determines the supremum.
     """
-    if not is_power_of_two(n):
-        raise ValueError(f"n must be a power of two, got {n}")
-    p = n.bit_length() - 1
+    p = side_exponent(n)
     ks = freq_values(n)[:, None]
     return tuple(np.abs(_inner_1d(p, ks, e, np.arange(p), 0)) for e in (0, 1))
 

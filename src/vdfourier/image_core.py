@@ -2,12 +2,14 @@
 
 Images are square complex arrays of side ``n = 2**p`` with row index ``t1``
 (axis 0) and column index ``t2`` (axis 1). Real input is promoted to complex
-with zero imaginary part.
+with zero imaginary part. :func:`side_exponent` is the one check of that side
+rule, for images, densities, plans and the Haar system alike.
 """
 
 import numpy as np
 
 __all__ = [
+    "side_exponent",
     "as_image",
     "gradient",
     "tv_norm",
@@ -17,21 +19,19 @@ __all__ = [
 ]
 
 
-def is_power_of_two(n):
-    return n >= 1 and (n & (n - 1)) == 0
+def side_exponent(n):
+    """The p of a grid side ``n = 2**p`` with p >= 1, so that the Haar system has a scale."""
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"grid side must be a power of two >= 2, got {n}")
+    return int(n).bit_length() - 1
 
 
 def as_image(pixels):
-    """Validate and return an image as a square complex128 array.
-
-    The side length must be a power of two (at least 2).
-    """
+    """Validate and return an image as a square complex128 array of side ``2**p``, p >= 1."""
     f = np.asarray(pixels)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise ValueError(f"image must be square, got shape {f.shape}")
-    n = f.shape[0]
-    if n < 2 or not is_power_of_two(n):
-        raise ValueError(f"image side must be a power of two >= 2, got {n}")
+    side_exponent(f.shape[0])
     return f.astype(np.complex128, copy=False)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_core import is_power_of_two
+from .image_core import side_exponent
 from .transforms import freq_grids, freq_to_index, freq_values
 
 __all__ = [
@@ -39,8 +39,9 @@ class Density:
 
     def __post_init__(self):
         v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or not is_power_of_two(v.shape[0]):
-            raise ValueError(f"density grid must be square power-of-two, got {v.shape}")
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ValueError(f"density grid must be square, got shape {v.shape}")
+        side_exponent(v.shape[0])
         if not np.all(np.isfinite(v) & (v >= 0)):
             raise ValueError("density entries must be finite and nonnegative")
         if not abs(v.sum() - 1.0) <= 1e-12:
@@ -71,6 +72,7 @@ class SamplingPlan:
         return i1 * self.n + i2
 
     def __post_init__(self):
+        side_exponent(self.n)
         if self.freqs.ndim != 2 or self.freqs.shape[1] != 2:
             raise ValueError("freqs must be an (m, 2) array")
         if self.rho.shape != (self.freqs.shape[0],):
@@ -115,6 +117,7 @@ def _normalized(mass):
 
 def density_uniform(n):
     """Uniform density, 1/n^2 per frequency."""
+    side_exponent(n)  # before np.ones, which has its own message for n < 0
     return _normalized(np.ones((n, n)))
 
 

@@ -17,11 +17,12 @@ scale with orientation blocks (0,1), (1,0), (1,1), each shift-row-major.
 With that ordering the scale-``n`` block occupies ``[4**n, 4**(n+1))``.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .image_core import as_image, is_power_of_two
+from .image_core import as_image, side_exponent
 
 __all__ = [
     "freq_values",
@@ -48,6 +49,7 @@ __all__ = [
 
 def freq_values(n):
     """Frequency value at each storage index: 0, 1, ..., n/2, -n/2+1, ..., -1."""
+    side_exponent(n)
     k = np.arange(n)
     return np.where(k <= n // 2, k, k - n)
 
@@ -164,7 +166,7 @@ def haar_forward(f):
     """
     f = as_image(f)
     n = f.shape[0]
-    p = n.bit_length() - 1
+    p = side_exponent(n)
     w = np.empty(n * n, dtype=np.complex128)
     cur = f
     for lev in range(p - 1, -1, -1):
@@ -185,11 +187,10 @@ def haar_forward(f):
 def haar_inverse(w):
     """Inverse of :func:`haar_forward` (the transform is unitary)."""
     w = np.asarray(w, dtype=np.complex128).ravel()
-    nn = w.size
-    n = int(round(np.sqrt(nn)))
-    if n * n != nn or not is_power_of_two(n):
-        raise ValueError(f"coefficient vector length {nn} is not 4**p")
-    p = n.bit_length() - 1
+    n = math.isqrt(w.size)
+    if n * n != w.size:
+        raise ValueError(f"coefficient vector length {w.size} is not a perfect square")
+    p = side_exponent(n)
     cur = w[:1].reshape(1, 1)
     for lev in range(p):
         q, m = 4**lev, 1 << lev

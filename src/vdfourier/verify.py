@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .image_core import as_image, is_power_of_two, tv_norm
+from .image_core import as_image, side_exponent, tv_norm
 from .transforms import _haar_blocks, fft2_unphased, haar_forward, haar_matrix
 
 __all__ = [
@@ -104,7 +104,7 @@ def rip_monte_carlo(a, s, trials, seed=0):
 
 def _atom_spectra(n):
     """Row k: the flattened :func:`dft2_forward` of the k-th Haar atom, one batched FFT."""
-    atoms = haar_matrix(n.bit_length() - 1).reshape(-1, n, n)
+    atoms = haar_matrix(side_exponent(n)).reshape(-1, n, n)
     return fft2_unphased(np.roll(atoms, 1, axis=(1, 2))).reshape(n * n, n * n)
 
 
@@ -136,19 +136,13 @@ def isotropy_identity_error(density):
     return float(np.abs(gram - np.eye(n * n)).max())
 
 
-def _side_exponent(n):
-    if not is_power_of_two(n) or n < 2:
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
-    return n.bit_length() - 1
-
-
 def check_edge_lemma(n):
     """Max number of Haar atoms varying across any pair of adjacent pixels.
 
     Counts, per adjacent pixel pair, the atoms taking different values on its two pixels
     (at most 6*p); a (x) b varies across (t1, t1+1) at t2 iff a[t1+1] != a[t1] and b[t2] != 0.
     """
-    p = _side_exponent(n)
+    p = side_exponent(n)
     count_x, count_y = np.zeros((n - 1, n), dtype=int), np.zeros((n, n - 1), dtype=int)
     for a, b in _haar_blocks(p):
         count_x += np.outer((np.diff(a, axis=1) != 0).sum(0), (b != 0).sum(0))
@@ -162,7 +156,7 @@ def check_atom_tv(n):
     TV(a (x) b) = ||Da||_1 ||b||_1 + ||a||_1 ||Db||_1, D the zero-padded forward difference.
     """
     norms = [[(np.abs(np.diff(x, axis=1)).sum(1), np.abs(x).sum(1)) for x in ab]
-             for ab in _haar_blocks(_side_exponent(n))]
+             for ab in _haar_blocks(side_exponent(n))]
     return max(float((np.outer(da, nb) + np.outer(na, db)).max()) for (da, na), (db, nb) in norms)
 
 

@@ -218,11 +218,16 @@ def test_cmd_reconstruct_phantom_regression(tmp_path):
     assert rows["relative_l2_error"] <= 1e-3
 
 
-def test_cmd_reconstruct_rejects_bad_image(tmp_path):
-    img_path = tmp_path / "bad.pgm"
-    write_pgm(img_path, np.zeros((6, 6)), maxval=255)
-    assert main(["reconstruct", "--image", str(img_path), "--density", "uniform",
-                 "--m", "10", "--out", str(tmp_path / "x")]) == 2
+def test_cmd_reconstruct_rejects_bad_image(tmp_path, capsys):
+    for side in (1, 6):
+        img_path = tmp_path / f"bad{side}.pgm"
+        write_pgm(img_path, np.zeros((side, side)), maxval=255)
+        for argv in (["reconstruct", "--density", "uniform", "--m", "10"],
+                     ["sweep", "--alphas", "0", "--m", "10"]):
+            out = tmp_path / f"{argv[0]}{side}"
+            assert main(argv + ["--image", str(img_path), "--out", str(out)]) == 2
+            assert f"power of two >= 2, got {side}" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_cmd_reconstruct_rejects_nan_eps(tmp_path):

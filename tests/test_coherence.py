@@ -19,7 +19,7 @@ from vdfourier.coherence import (
     local_coherence_exact,
     univariate_coherence_bound_check,
 )
-from vdfourier.transforms import freq_values, haar_matrix
+from vdfourier.transforms import freq_values, haar_atom_1d, haar_matrix
 
 
 def dense_local_coherence(n):
@@ -79,12 +79,15 @@ def test_inner_1d_magnitude_shift_invariant():
 
 
 def test_inner_1d_rejects_bad_indices():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="frequency 5 out of range for p=3"):
         fourier_haar_inner_1d(3, 5, 1, 1, 0)
-    with pytest.raises(ValueError):
-        fourier_haar_inner_1d(3, 1, 1, 3, 0)
-    with pytest.raises(ValueError):
-        fourier_haar_inner_1d(3, 1, 2, 1, 0)
+    # bad orientation, scale n >= p, negative scale, shift l >= 2**n, negative shift
+    for e, n, l in [(2, 1, 0), (1, 3, 0), (1, -1, 0), (0, 1, 2), (0, 1, -1)]:
+        with pytest.raises(ValueError) as atom:
+            haar_atom_1d(3, e, n, l)
+        with pytest.raises(ValueError) as inner:
+            fourier_haar_inner_1d(3, 1, e, n, l)
+        assert str(inner.value) == str(atom.value)
 
 
 # ---------------------------------------------------------------------------

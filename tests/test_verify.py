@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import atom_tv_loop, edge_lemma_loop, full_grid_plan
-from vdfourier.coherence import kappa_table
-from vdfourier.image_core import tv_norm
-from vdfourier.sampling import density_from_kappa, density_inverse_square, draw_plan
-from vdfourier.transforms import haar_atom_2d, haar_indices
+from vdfourier.coherence import coherence_tables_1d, kappa_table, local_coherence_exact
+from vdfourier.image_core import as_image, tv_norm
+from vdfourier.sampling import (
+    SamplingPlan,
+    density_from_kappa,
+    density_inverse_square,
+    density_uniform,
+    draw_plan,
+)
+from vdfourier.transforms import freq_values, haar_atom_2d, haar_indices, haar_inverse
 from vdfourier.verify import (
     build_preconditioned_matrix,
     check_atom_tv,
@@ -178,8 +184,29 @@ def test_lemma_checks_match_the_per_atom_loops(n):
     assert check_atom_tv(n) == pytest.approx(atom_tv_loop(n), rel=1e-15, abs=0)
 
 
-@pytest.mark.parametrize("check", [check_edge_lemma, check_atom_tv])
-@pytest.mark.parametrize("n", [-2, 0, 1, 3, 12])
+def image_of_side(n):
+    return as_image(np.zeros((n, n)))
+
+
+def haar_inverse_of_side(n):
+    return haar_inverse(np.zeros(n * n))
+
+
+def plan_of_side(n):
+    return SamplingPlan(n=n, freqs=np.zeros((1, 2), dtype=int), rho=np.ones(1))
+
+
+# Every entry point that takes a grid side; an array cannot have a negative side.
+SIDE_CASES = [(check, n)
+              for check in (image_of_side, haar_inverse_of_side, freq_values, coherence_tables_1d,
+                            local_coherence_exact, density_uniform, density_inverse_square,
+                            plan_of_side, check_edge_lemma, check_atom_tv)
+              for n in (-2, 0, 1, 3, 12)
+              if n >= 0 or check not in (image_of_side, haar_inverse_of_side)]
+
+
+@pytest.mark.parametrize("check, n", SIDE_CASES,
+                         ids=[f"{n}-{check.__name__}" for check, n in SIDE_CASES])
 def test_lemma_checks_reject_a_bad_side(check, n):
     with pytest.raises(ValueError, match=f"power of two >= 2, got {n}"):
         check(n)
