@@ -42,14 +42,11 @@ from .solvers import (
     tv_min_reconstruct,
 )
 from .transforms import (
-    HaarIndex,
     dft2_forward,
     dft2_inverse,
     freq_values,
     haar_atom_1d,
-    haar_atom_2d,
     haar_forward,
-    haar_indices,
     haar_inverse,
     partial_dft,
     partial_dft_adjoint,

@@ -7,7 +7,7 @@ command, the package version, the image side n and every parsed flag under
 external tools.
 
 Exit codes: 0 success, 2 invalid input, 3 solver non-convergence,
-4 verification failure.
+4 verification failure, 5 every cell of a sweep failed.
 """
 
 import argparse
@@ -59,6 +59,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY_FAILED = 4
+EXIT_SWEEP_FAILED = 5  # every sweep cell failed
 
 NOISE_SEED_OFFSET = 1_000_003  # keeps plan and noise streams decoupled
 
@@ -286,6 +287,8 @@ def cmd_sweep(args):
     for flag in ("trials", "m", "jobs"):
         if getattr(args, flag) < 1:
             raise CliError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    if args.m > f.size:
+        raise CliError(f"--m must be <= n^2 = {f.size}, got {args.m}")
     out = _make_out(args.out)
 
     tasks = []
@@ -305,7 +308,7 @@ def cmd_sweep(args):
     _write_manifest(out, args, f.shape[0])
     bad = sum(r["status"] != "ok" for r in rows)
     print(f"sweep finished: {len(rows)} cells, {bad} failed")
-    return EXIT_OK
+    return EXIT_SWEEP_FAILED if bad == len(rows) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,20 @@ plus a scalar Newton iteration in its multiplier; the merged data are rotated
 into the FFT's frame once per solve, so it applies no phase. It closes every
 primal step, so every reported iterate is feasible (the relaxed one may leave
 the ball if eps > 0), and the one dual block lives on the range of the gradient
-(TV) or the Haar transform, whose closed-form norms sqrt(8) and 1 set the step
-sizes.
+(TV) or the Haar transform, whose closed-form norms L = sqrt(8) and 1 set the steps
+tau = 1/(omega*L) and sigma = omega/L. The primal weight omega adapts, so the iteration
+count depends little on the scale of the data. Each epoch ends with PDLP's update
+omega <- sqrt(omega ||dq|| / ||dg||) (Applegate et al. 2021, arXiv 2106.04756), (dg, dq)
+the move since the last update, at r2HPDHG's restart points (Lu & Yang 2024, arXiv
+2407.16144): the residual r = sqrt(omega ||gt - g||^2 + ||qt - q||^2 / omega), taken at
+an epoch's first iteration (r0) and at each check, is <= 0.2 r0, or <= 0.8 r0 and
+rising, or the epoch has run 0.36 of all iterations. The iterates are not moved.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import norm
 
 from .image_core import gradient, gradient_adjoint, lp_norm
 from .transforms import (
@@ -43,16 +50,20 @@ __all__ = [
 
 _CHECK_EVERY = 50  # iterations between objective/violation checks
 _RELAX = 1.8  # over-relaxation of both blocks; converges for (0, 2) at tau*sigma*L**2 <= 1
+# ends of a primal-weight epoch (module docstring)
+_RESTART_SUFFICIENT = 0.2
+_RESTART_NECESSARY = 0.8
+_RESTART_ARTIFICIAL = 0.36
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Iteration controls for the primal-dual solvers.
 
-    The primal and dual steps tau = 1/(step_balance*L) and
-    sigma = step_balance/L follow from the closed-form norm L of the
-    gradient (sqrt(8), TV) or the Haar transform (1), so tau*sigma*L**2 = 1;
-    ``step_balance`` sets how far the dual side is favored. The data ball
+    ``step_balance`` is the initial primal weight omega: the primal and dual
+    steps tau = 1/(omega*L) and sigma = omega/L follow from the closed-form
+    norm L of the gradient (sqrt(8), TV) or the Haar transform (1), so
+    tau*sigma*L**2 = 1; omega then adapts (module docstring). The data ball
     is met by projection, so ``dual_tol`` only scales the tolerances of the
     violation check in the stopping rule and of the repeated-sample spread
     check. ``epsilon`` is the noise level entering the radius eps * sqrt(m).
@@ -86,7 +97,8 @@ class SolverReport:
     objective change between the last two checks, not a residual; ``constraint_violation``:
     how far the returned image's data fit lies beyond the radius, measured with
     ``dft2_forward`` independently of the projection; ``newton_steps``: the Newton
-    evaluations of phi summed over every data-ball projection of the solve.
+    evaluations of phi summed over every data-ball projection of the solve;
+    ``primal_weight``: the final omega; ``weight_updates``: the number of epochs ended.
     """
 
     iterations: int
@@ -95,6 +107,8 @@ class SolverReport:
     objective: float
     converged: bool
     newton_steps: int
+    primal_weight: float
+    weight_updates: int
 
 
 def _project_ball(v, lin, w, ybar, r, t):
@@ -174,9 +188,6 @@ def _solve(y, plan, opts, k1, k1t, lip):
     radius_distinct = np.sqrt(max(radius**2 - spread, 0.0))
     ybar_u = ybar * sampled_phase(n, lin).conj()  # the means in the fft2_unphased frame
 
-    sigma = opts.step_balance / lip
-    tau = 1.0 / (opts.step_balance * lip)
-
     def objective(g):
         return lp_norm(k1(g), 1)
 
@@ -187,18 +198,41 @@ def _solve(y, plan, opts, k1, k1t, lip):
     g, t_ball, newton_steps = _project_ball(np.zeros((n, n), dtype=np.complex128), lin, w,
                                             ybar_u, radius_distinct, 0.0)
     q = np.zeros_like(k1(g))
+    g_ref, q_ref = g.copy(), q.copy()  # the iterates at the last weight update
 
+    weight = opts.step_balance
+    updates = 0
+    start = 1  # first iteration of the current epoch
     obj_prev = objective(g)
     rel_change = np.inf
     converged = False
     for it in range(1, opts.max_iters + 1):
+        tau, sigma = 1.0 / (weight * lip), weight / lip
         gt, t_ball, evals = _project_ball(g - tau * k1t(q), lin, w, ybar_u, radius_distinct,
                                           t_ball)
         newton_steps += evals
-        u = q + sigma * k1(2 * gt - g)  # clipped by a real scale: cheaper than complex division
-        q += _RELAX * (u * (1.0 / np.maximum(1.0, np.abs(u))) - q)
+        qt = q + sigma * k1(2 * gt - g)  # clipped by a real scale: cheaper than complex division
+        qt *= 1.0 / np.maximum(1.0, np.abs(qt))
+        check = it % _CHECK_EVERY == 0
+        if it == start or check:
+            r = np.sqrt(weight * norm(gt - g) ** 2 + norm(qt - q) ** 2 / weight)
+            if it == start:
+                r0 = r_last = r
+            elif (r <= _RESTART_SUFFICIENT * r0
+                  or (r <= _RESTART_NECESSARY * r0 and r > r_last)
+                  or it - start + 1 >= _RESTART_ARTIFICIAL * it):
+                dg, dq = norm(gt - g_ref), norm(qt - q_ref)
+                if dg > 0 and dq > 0:
+                    weight = np.sqrt(weight * dq / dg)  # 1/2-log smoothing of dq/dg
+                np.copyto(g_ref, gt)
+                np.copyto(q_ref, qt)
+                updates += 1
+                start = it + 1
+            else:
+                r_last = r
+        q += _RELAX * (qt - q)
         g += _RELAX * (gt - g)
-        if it % _CHECK_EVERY == 0:
+        if check:
             obj = objective(gt)
             viol = violation(gt)
             rel_change = abs(obj - obj_prev) / max(abs(obj), 1e-30)
@@ -214,6 +248,8 @@ def _solve(y, plan, opts, k1, k1t, lip):
         objective=float(objective(gt)),
         converged=converged,
         newton_steps=newton_steps,
+        primal_weight=float(weight),
+        weight_updates=updates,
     )
 
 

@@ -18,7 +18,6 @@ With that ordering the scale-``n`` block occupies ``[4**n, 4**(n+1))``.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +27,7 @@ __all__ = [
     "freq_values",
     "freq_grids",
     "freq_to_index",
-    "HaarIndex",
-    "haar_indices",
     "haar_atom_1d",
-    "haar_atom_2d",
     "haar_forward",
     "haar_inverse",
     "dft2_forward",
@@ -73,31 +69,8 @@ def freq_to_index(k1, k2, n):
 # ---------------------------------------------------------------------------
 # Haar system
 
-class HaarIndex(NamedTuple):
-    """Label of a bivariate Haar atom.
-
-    ``e = (0, 0)`` with ``n = 0``, ``l = (0, 0)`` is the constant atom;
-    detail atoms use ``e`` in {(0,1), (1,0), (1,1)}, ``0 <= n < p`` and
-    shifts ``0 <= l_i < 2**n``.
-    """
-
-    e: tuple
-    n: int
-    l: tuple
-
-
-def haar_indices(p):
-    """All 4**p Haar indices of the side-2**p system, in canonical order."""
-    idx = [HaarIndex((0, 0), 0, (0, 0))]
-    for n in range(p):
-        for e in ((0, 1), (1, 0), (1, 1)):
-            for l1 in range(1 << n):
-                for l2 in range(1 << n):
-                    idx.append(HaarIndex(e, n, (l1, l2)))
-    return idx
-
-
 def _check_1d_index(p, e, n, l):
+    side_exponent(2**p)  # the system has a scale: p >= 1
     if e not in (0, 1):
         raise ValueError(f"e must be 0 or 1, got {e}")
     if not 0 <= n < p:
@@ -126,17 +99,6 @@ def haar_atom_1d(p, e, n, l):
         atom[start : start + wlen // 2] = v
         atom[start + wlen // 2 : start + wlen] = -v
     return atom
-
-
-def haar_atom_2d(p, idx):
-    """Bivariate Haar atom as a 2**p x 2**p image (tensor of 1-D atoms)."""
-    e, n, l = idx
-    if e == (0, 0):
-        if n != 0 or l != (0, 0):
-            raise ValueError(f"constant atom requires n=0, l=(0,0), got {idx}")
-    elif e not in ((0, 1), (1, 0), (1, 1)):
-        raise ValueError(f"invalid orientation {e}")
-    return np.outer(haar_atom_1d(p, e[0], n, l[0]), haar_atom_1d(p, e[1], n, l[1]))
 
 
 def _haar_blocks(p):

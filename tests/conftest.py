@@ -1,4 +1,5 @@
 import csv
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -6,7 +7,43 @@ import pytest
 from vdfourier.coherence import coherence_tables_1d
 from vdfourier.image_core import tv_norm
 from vdfourier.sampling import SamplingPlan
-from vdfourier.transforms import freq_values, haar_atom_1d, haar_atom_2d, haar_indices
+from vdfourier.transforms import freq_values, haar_atom_1d
+
+
+class HaarIndex(NamedTuple):
+    """Label of a bivariate Haar atom.
+
+    ``e = (0, 0)`` with ``n = 0``, ``l = (0, 0)`` is the constant atom;
+    detail atoms use ``e`` in {(0,1), (1,0), (1,1)}, ``0 <= n < p`` and
+    shifts ``0 <= l_i < 2**n``.
+    """
+
+    e: tuple
+    n: int
+    l: tuple
+
+
+def haar_indices(p):
+    """All 4**p Haar indices of the side-2**p system, in the canonical order of
+    :func:`vdfourier.transforms.haar_matrix` rows."""
+    idx = [HaarIndex((0, 0), 0, (0, 0))]
+    for n in range(p):
+        for e in ((0, 1), (1, 0), (1, 1)):
+            for l1 in range(1 << n):
+                for l2 in range(1 << n):
+                    idx.append(HaarIndex(e, n, (l1, l2)))
+    return idx
+
+
+def haar_atom_2d(p, idx):
+    """Bivariate Haar atom as a 2**p x 2**p image (tensor of 1-D atoms)."""
+    e, n, l = idx
+    if e == (0, 0):
+        if n != 0 or l != (0, 0):
+            raise ValueError(f"constant atom requires n=0, l=(0,0), got {idx}")
+    elif e not in ((0, 1), (1, 0), (1, 1)):
+        raise ValueError(f"invalid orientation {e}")
+    return np.outer(haar_atom_1d(p, e[0], n, l[0]), haar_atom_1d(p, e[1], n, l[1]))
 
 
 def full_grid_plan(n, rho_value=1.0):

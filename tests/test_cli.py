@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import full_grid_plan, write_grid_oracle
+from vdfourier import cli
 from vdfourier.cli import _write_grid_csv, main
 from vdfourier.coherence import kappa_l2, kappa_prime_table, kappa_table, local_coherence_exact
 from vdfourier.pgm import read_pgm, write_pgm
@@ -430,6 +431,30 @@ def test_cmd_sweep_rejects_bad_input(tmp_path):
         main(args + ["--alphas", "2", "--eps", "0.1"])
     assert exc.value.code == 2
     assert not (tmp_path / "sw").exists()
+
+
+def test_cmd_sweep_m_above_grid_size_exits_2(tmp_path, capsys):
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--image", str(img_path), "--alphas", "inf,2", "--m", "257",
+                 "--out", str(out)]) == 2
+    assert "--m must be <= n^2 = 256, got 257" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_sweep_all_cells_failed_exits_5(tmp_path, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("solver exploded")
+
+    monkeypatch.setattr(cli, "tv_min_reconstruct", fail)
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--image", str(img_path), "--alphas", "0,2", "--m", "60",
+                 "--out", str(out)]) == cli.EXIT_SWEEP_FAILED == 5
+    with open(out / "sweep.csv") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["error: solver exploded"] * 2
 
 
 @pytest.mark.parametrize("data", [b"", b"P5\n4 4\n", b"P2\n"], ids=["empty", "no-maxval", "p2-no-size"])

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     fourier_haar_inner_1d_direct,
+    haar_indices,
     local_coherence_full_grid,
     local_coherence_three_products,
 )
@@ -149,8 +150,6 @@ def test_coherence_chain_up_to_256():
 def test_bivariate_magnitude_factorizes_per_index(n):
     # |<phi_{k1,k2}, h>| equals the product of the univariate magnitudes for
     # every frequency and every atom, not only at the supremum
-    from vdfourier.transforms import haar_indices
-
     p = n.bit_length() - 1
     ks = freq_values(n)
     t = np.arange(1, n + 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import full_grid_plan
+from conftest import full_grid_plan, haar_atom_2d, haar_indices
 from vdfourier.image_core import best_s_term_error, gradient, lp_norm, tv_norm
 from vdfourier.phantoms import rect_phantom
 from vdfourier.sampling import SamplingPlan, density_inverse_square, draw_plan
@@ -11,7 +11,7 @@ from vdfourier.solvers import (
     l1_haar_reconstruct,
     tv_min_reconstruct,
 )
-from vdfourier.transforms import haar_atom_2d, haar_forward, haar_indices, partial_dft
+from vdfourier.transforms import haar_forward, partial_dft
 
 FAST = SolverOptions(max_iters=6000)
 # tight enough that a converged run sits within ~1e-6 of the optimal objective
@@ -178,6 +178,41 @@ def test_error_bound_envelope_gradient_compressible():
         bound = best_s_term_error(diffs, s, 1) / np.sqrt(s)
         ratios.append(err / bound)
     assert max(ratios) <= 50.0
+
+
+# ---------------------------------------------------------------------------
+# adaptive primal weight
+
+def _criterion_8_solves(scale):
+    """Criterion 8's fixture (noise seed 1, the perfbench tv-weighted-n32 set-up) with the
+    image, the data and eps all multiplied by ``scale``; one report per eps."""
+    n = 32
+    f = rect_phantom(n, seed=0)
+    plan = draw_plan(density_inverse_square(n), 410, seed=1000)
+    clean = partial_dft(f, plan)
+    reports = []
+    for eps in (0.05, 0.1, 0.2):
+        y = add_noise(clean, plan, eps, model="weighted", seed=1)
+        opts = SolverOptions(max_iters=20000, primal_tol=1e-7, noise_model="weighted",
+                             step_balance=100.0, epsilon=scale * eps)
+        g, report = tv_min_reconstruct(scale * y, plan, opts)
+        assert report.converged
+        assert relative_error(g, scale * f) <= 0.3 * eps
+        reports.append(report)
+    return reports
+
+
+def test_primal_weight_makes_iterations_scale_free():
+    # a fixed step balance took 700 iterations at x10 and 10050 at x0.1
+    iters = [r.iterations for scale in (0.1, 1.0, 10.0) for r in _criterion_8_solves(scale)]
+    assert max(iters) <= 2 * min(iters), iters
+
+
+def test_criterion_8_fixture_iteration_ceiling():
+    # 3950/3500/2900 iterations at the fixed step balance of 100
+    reports = _criterion_8_solves(1.0)
+    assert max(r.iterations for r in reports) <= 2000, reports
+    assert all(r.weight_updates >= 1 and r.primal_weight != 100.0 for r in reports)
 
 
 # ---------------------------------------------------------------------------

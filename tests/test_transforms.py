@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import haar_atom_2d, haar_indices
 from vdfourier.sampling import SamplingPlan, density_uniform, draw_plan
 from vdfourier.transforms import (
     dft2_forward,
@@ -8,9 +9,7 @@ from vdfourier.transforms import (
     freq_to_index,
     freq_values,
     haar_atom_1d,
-    haar_atom_2d,
     haar_forward,
-    haar_indices,
     haar_inverse,
     haar_matrix,
     partial_dft,
@@ -92,6 +91,14 @@ def test_haar_atom_1d_rejects_bad_indices():
         haar_atom_1d(3, 1, 1, 2)
     with pytest.raises(ValueError):
         haar_atom_1d(3, 2, 1, 0)
+
+
+@pytest.mark.parametrize("p", [-1, 0])
+def test_haar_rejects_exponent_below_one(p):
+    with pytest.raises(ValueError, match="power of two >= 2"):
+        haar_matrix(p)
+    with pytest.raises(ValueError, match="power of two >= 2"):
+        haar_atom_1d(p, 0, 0, 0)
 
 
 def test_haar_atom_2d_constant():

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import atom_tv_loop, edge_lemma_loop, full_grid_plan
+from conftest import atom_tv_loop, edge_lemma_loop, full_grid_plan, haar_atom_2d, haar_indices
 from vdfourier.coherence import coherence_tables_1d, kappa_table, local_coherence_exact
 from vdfourier.image_core import as_image, tv_norm
 from vdfourier.sampling import (
@@ -13,7 +13,7 @@ from vdfourier.sampling import (
     density_uniform,
     draw_plan,
 )
-from vdfourier.transforms import freq_values, haar_atom_2d, haar_indices, haar_inverse
+from vdfourier.transforms import freq_values, haar_inverse
 from vdfourier.verify import (
     build_preconditioned_matrix,
     check_atom_tv,
