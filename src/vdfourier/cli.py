@@ -64,13 +64,9 @@ EXIT_SWEEP_FAILED = 5  # every sweep cell failed
 NOISE_SEED_OFFSET = 1_000_003  # keeps plan and noise streams decoupled
 
 
-class CliError(Exception):
-    pass
-
-
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=float)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=float, allow_nan=False)
         fh.write("\n")
 
 
@@ -124,7 +120,7 @@ def _check_row(claim, bound, measured, ok, **where):
 def _power_exponent(text):
     alpha = float(text)  # float() parses inf
     if not alpha >= 0:
-        raise CliError(f"power-law exponent must be >= 0, got {alpha}")
+        raise ValueError(f"power-law exponent must be >= 0, got {alpha}")
     return alpha
 
 
@@ -137,19 +133,16 @@ def _build_plan(n, spec, m, seed):
     """The plan a --density spec names; the spec is checked before --m is."""
     kind, colon, param = spec.partition(":")
     if colon and kind == "radial":
-        lines = int(param)
-        if lines < 1:
-            raise CliError("radial line count must be >= 1")
-        return deterministic_mask(n, "radial_lines", lines=lines)
+        return deterministic_mask(n, "radial_lines", lines=int(param))
     if colon and kind == "power":
         alpha = _power_exponent(param)
         density = None if math.isinf(alpha) else functools.partial(density_power_law, alpha=alpha)
     elif spec in _DENSITIES:
         density = _DENSITIES[spec]
     else:
-        raise CliError(f"unknown density spec {spec!r}")
+        raise ValueError(f"unknown density spec {spec!r}")
     if m is None:
-        raise CliError(f"density {spec!r} requires --m")
+        raise ValueError(f"density {spec!r} requires --m")
     if density is None:
         return deterministic_mask(n, "lowest_frequencies", m=m)
     return draw_plan(density(n), m, seed)
@@ -160,7 +153,7 @@ def _check_n(n, limit=256):
     if n <= limit:
         with contextlib.suppress(ValueError):
             return side_exponent(n)
-    raise CliError(f"--n must be a power of two in [2, {limit}], got {n}")
+    raise ValueError(f"--n must be a power of two in [2, {limit}], got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +279,9 @@ def cmd_sweep(args):
     opts_list = [_solver_options(args, eps) for eps in eps_list]
     for flag in ("trials", "m", "jobs"):
         if getattr(args, flag) < 1:
-            raise CliError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if args.m > f.size:
-        raise CliError(f"--m must be <= n^2 = {f.size}, got {args.m}")
+        raise ValueError(f"--m must be <= n^2 = {f.size}, got {args.m}")
     out = _make_out(args.out)
 
     tasks = []
@@ -417,7 +410,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -19,10 +19,13 @@ the ball if eps > 0), and the one dual block lives on the range of the gradient
 tau = 1/(omega*L) and sigma = omega/L. The primal weight omega adapts, so the iteration
 count depends little on the scale of the data. Each epoch ends with PDLP's update
 omega <- sqrt(omega ||dq|| / ||dg||) (Applegate et al. 2021, arXiv 2106.04756), (dg, dq)
-the move since the last update, at r2HPDHG's restart points (Lu & Yang 2024, arXiv
-2407.16144): the residual r = sqrt(omega ||gt - g||^2 + ||qt - q||^2 / omega), taken at
-an epoch's first iteration (r0) and at each check, is <= 0.2 r0, or <= 0.8 r0 and
-rising, or the epoch has run 0.36 of all iterations. The iterates are not moved.
+the move since the last update, when the residual r = sqrt(omega ||gt - g||^2 +
+||qt - q||^2 / omega), taken at an epoch's first iteration (r0) and at each check, is
+<= 0.2 r0 or the epoch has run 0.36 of all iterations (two of r2HPDHG's restart rules,
+Lu & Yang 2024, arXiv 2407.16144). The iterates are not moved. The solve stops when the
+objective changes by at most ``primal_tol`` between two checks; the data fit of the
+returned image is then measured once, with ``dft2_forward``, independently of the
+projection.
 """
 
 from dataclasses import dataclass
@@ -48,11 +51,10 @@ __all__ = [
     "add_noise",
 ]
 
-_CHECK_EVERY = 50  # iterations between objective/violation checks
+_CHECK_EVERY = 50  # iterations between objective checks
 _RELAX = 1.8  # over-relaxation of both blocks; converges for (0, 2) at tau*sigma*L**2 <= 1
 # ends of a primal-weight epoch (module docstring)
 _RESTART_SUFFICIENT = 0.2
-_RESTART_NECESSARY = 0.8
 _RESTART_ARTIFICIAL = 0.36
 
 
@@ -63,10 +65,12 @@ class SolverOptions:
     ``step_balance`` is the initial primal weight omega: the primal and dual
     steps tau = 1/(omega*L) and sigma = omega/L follow from the closed-form
     norm L of the gradient (sqrt(8), TV) or the Haar transform (1), so
-    tau*sigma*L**2 = 1; omega then adapts (module docstring). The data ball
-    is met by projection, so ``dual_tol`` only scales the tolerances of the
-    violation check in the stopping rule and of the repeated-sample spread
-    check. ``epsilon`` is the noise level entering the radius eps * sqrt(m).
+    tau*sigma*L**2 = 1; omega then adapts (module docstring). ``primal_tol``
+    bounds the relative objective change between two checks at which the
+    solve stops. The data ball is met by projection, so ``dual_tol`` only
+    scales the tolerances of the data-fit check after the loop and of the
+    repeated-sample spread check. ``epsilon`` is the noise level entering
+    the radius eps * sqrt(m).
     """
 
     max_iters: int = 20000
@@ -92,17 +96,19 @@ class SolverOptions:
 class SolverReport:
     """Outcome of one solve; every field is deterministic.
 
-    ``iterations`` run, and whether the stopping rule ``converged`` within ``max_iters``;
-    ``objective``: the seminorm of the returned image; ``primal_residual``: the relative
-    objective change between the last two checks, not a residual; ``constraint_violation``:
-    how far the returned image's data fit lies beyond the radius, measured with
-    ``dft2_forward`` independently of the projection; ``newton_steps``: the Newton
+    ``iterations`` run; ``converged``: the stopping rule fired within ``max_iters`` and
+    ``constraint_violation`` is within the ``dual_tol``-scaled tolerance, so a converged
+    image is feasible; ``objective``: the seminorm of the returned image;
+    ``primal_residual``: the relative objective change between the last two checks, not
+    a residual (None until two checks have been compared); ``constraint_violation``: how
+    far the returned image's data fit lies beyond the radius, measured once after the
+    loop with ``dft2_forward`` independently of the projection; ``newton_steps``: the Newton
     evaluations of phi summed over every data-ball projection of the solve;
     ``primal_weight``: the final omega; ``weight_updates``: the number of epochs ended.
     """
 
     iterations: int
-    primal_residual: float
+    primal_residual: float | None
     constraint_violation: float
     objective: float
     converged: bool
@@ -166,9 +172,10 @@ def _solve(y, plan, opts, k1, k1t, lip):
     gt = P_C(g - tau*k1t(q)) (P_C: data-ball projection), qt = clip(q + sigma*k1(2*gt - g)),
     and (g, q) += _RELAX*(gt - g, qt - q). Checks, report and result use the feasible gt;
     the relaxed anchor g may leave the ball when eps > 0. The merged means are rotated
-    once into the frame of the unphased FFT, where P_C works; the violation check
-    measures with the phased ``dft2_forward`` instead, independently of P_C.
+    once into the frame of the unphased FFT, where P_C works; the data fit of the result
+    is measured with the phased ``dft2_forward`` instead, independently of P_C.
     """
+    opts = opts or SolverOptions()
     y = np.asarray(y, dtype=np.complex128).ravel()
     if y.size != plan.m:
         raise ValueError(f"measurement length {y.size} != plan.m = {plan.m}")
@@ -188,13 +195,6 @@ def _solve(y, plan, opts, k1, k1t, lip):
     radius_distinct = np.sqrt(max(radius**2 - spread, 0.0))
     ybar_u = ybar * sampled_phase(n, lin).conj()  # the means in the fft2_unphased frame
 
-    def objective(g):
-        return lp_norm(k1(g), 1)
-
-    def violation(g):
-        fit2 = float(np.sum(w * np.abs(dft2_forward(g).ravel()[lin] - ybar) ** 2))
-        return max(0.0, np.sqrt(fit2 + spread) - radius)
-
     g, t_ball, newton_steps = _project_ball(np.zeros((n, n), dtype=np.complex128), lin, w,
                                             ybar_u, radius_distinct, 0.0)
     q = np.zeros_like(k1(g))
@@ -203,9 +203,7 @@ def _solve(y, plan, opts, k1, k1t, lip):
     weight = opts.step_balance
     updates = 0
     start = 1  # first iteration of the current epoch
-    obj_prev = objective(g)
-    rel_change = np.inf
-    converged = False
+    obj_prev = rel_change = np.inf  # no stop before two checks have been compared
     for it in range(1, opts.max_iters + 1):
         tau, sigma = 1.0 / (weight * lip), weight / lip
         gt, t_ball, evals = _project_ball(g - tau * k1t(q), lin, w, ybar_u, radius_distinct,
@@ -217,10 +215,8 @@ def _solve(y, plan, opts, k1, k1t, lip):
         if it == start or check:
             r = np.sqrt(weight * norm(gt - g) ** 2 + norm(qt - q) ** 2 / weight)
             if it == start:
-                r0 = r_last = r
-            elif (r <= _RESTART_SUFFICIENT * r0
-                  or (r <= _RESTART_NECESSARY * r0 and r > r_last)
-                  or it - start + 1 >= _RESTART_ARTIFICIAL * it):
+                r0 = r
+            elif r <= _RESTART_SUFFICIENT * r0 or it - start + 1 >= _RESTART_ARTIFICIAL * it:
                 dg, dq = norm(gt - g_ref), norm(qt - q_ref)
                 if dg > 0 and dq > 0:
                     weight = np.sqrt(weight * dq / dg)  # 1/2-log smoothing of dq/dg
@@ -228,25 +224,24 @@ def _solve(y, plan, opts, k1, k1t, lip):
                 np.copyto(q_ref, qt)
                 updates += 1
                 start = it + 1
-            else:
-                r_last = r
         q += _RELAX * (qt - q)
         g += _RELAX * (gt - g)
         if check:
-            obj = objective(gt)
-            viol = violation(gt)
+            obj = lp_norm(k1(gt), 1)
             rel_change = abs(obj - obj_prev) / max(abs(obj), 1e-30)
             obj_prev = obj
-            if it >= 2 * _CHECK_EVERY and rel_change <= opts.primal_tol and viol <= viol_tol:
-                converged = True
+            if rel_change <= opts.primal_tol:
                 break
 
+    fit2 = float(np.sum(w * np.abs(dft2_forward(gt).ravel()[lin] - ybar) ** 2))
+    violation = max(0.0, np.sqrt(fit2 + spread) - radius)
     return gt, SolverReport(
         iterations=it,
-        primal_residual=float(rel_change),
-        constraint_violation=float(violation(gt)),
-        objective=float(objective(gt)),
-        converged=converged,
+        primal_residual=None if rel_change == np.inf else float(rel_change),
+        constraint_violation=float(violation),
+        objective=float(lp_norm(k1(gt), 1)),
+        converged=bool(rel_change <= opts.primal_tol  # true iff the loop stopped
+                       and violation <= viol_tol),
         newton_steps=newton_steps,
         primal_weight=float(weight),
         weight_updates=updates,
@@ -259,13 +254,11 @@ def tv_min_reconstruct(y, plan, opts=None):
     Returns the reconstructed image and a :class:`SolverReport`;
     non-convergence within ``max_iters`` is reported, never raised.
     """
-    opts = opts or SolverOptions()
     return _solve(y, plan, opts, gradient, gradient_adjoint, np.sqrt(8.0))  # ||grad||^2 <= 8
 
 
 def l1_haar_reconstruct(y, plan, opts=None):
     """Minimize the l1 norm of the Haar coefficients of g subject to the ball."""
-    opts = opts or SolverOptions()
     return _solve(y, plan, opts, haar_forward, haar_inverse, 1.0)  # Haar is unitary
 
 

@@ -11,6 +11,7 @@ from vdfourier import cli
 from vdfourier.cli import _write_grid_csv, main
 from vdfourier.coherence import kappa_l2, kappa_prime_table, kappa_table, local_coherence_exact
 from vdfourier.pgm import read_pgm, write_pgm
+from vdfourier.sampling import deterministic_mask
 from vdfourier.phantoms import shepp_logan
 from vdfourier.transforms import freq_values
 
@@ -165,6 +166,20 @@ def test_cmd_sample_invalid_density(tmp_path):
         assert not (tmp_path / "x").exists()
 
 
+def test_cmd_sample_radial_lines_match_library(tmp_path):
+    out = tmp_path / "r"
+    assert main(["sample", "--n", "16", "--density", "radial:4", "--out", str(out)]) == 0
+    deterministic_mask(16, "radial_lines", lines=4).to_csv(tmp_path / "want.csv")
+    assert (out / "plan.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_cmd_sample_random_density_requires_m(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["sample", "--n", "16", "--density", "inv-square", "--out", str(out)]) == 2
+    assert "requires --m" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 
@@ -293,6 +308,22 @@ def test_cmd_reconstruct_nonconvergence_exit_code(tmp_path):
     assert code == 3
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is False
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+@pytest.mark.parametrize("max_iters", [10, 60])
+def test_cmd_reconstruct_report_is_strict_json(tmp_path, max_iters):
+    # fewer than two objective checks: no objective change to report
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=32)
+    out = tmp_path / "rec"
+    assert main(["reconstruct", "--image", str(img_path), "--density", "inv-square",
+                 "--m", "300", "--out", str(out), "--max-iters", str(max_iters)]) == 3
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    assert report["primal_residual"] is None
 
 
 def test_cmd_reconstruct_manifest_reproducibility(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import full_grid_plan, haar_atom_2d, haar_indices
+from vdfourier import solvers
 from vdfourier.image_core import best_s_term_error, gradient, lp_norm, tv_norm
 from vdfourier.phantoms import rect_phantom
 from vdfourier.sampling import SamplingPlan, density_inverse_square, draw_plan
@@ -11,7 +12,7 @@ from vdfourier.solvers import (
     l1_haar_reconstruct,
     tv_min_reconstruct,
 )
-from vdfourier.transforms import haar_forward, partial_dft
+from vdfourier.transforms import dft2_forward, haar_forward, partial_dft
 
 FAST = SolverOptions(max_iters=6000)
 # tight enough that a converged run sits within ~1e-6 of the optimal objective
@@ -271,6 +272,23 @@ def test_constraint_violation_matches_public_operator(model):
         want = max(0.0, np.linalg.norm(d * (partial_dft(g, plan) - y)) - radius)
         assert want <= 1e-12 * radius  # feasible already after 10 iterations
         assert report.constraint_violation == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("solve", [tv_min_reconstruct, l1_haar_reconstruct])
+def test_converged_implies_feasible(monkeypatch, solve):
+    # a fault that offsets the spectrum the data-fit check sees must turn a solve whose
+    # stopping rule fires into a reported non-convergence, not a converged infeasible image
+    n = 16
+    f = rect_phantom(n, seed=7, side=6)
+    plan = draw_plan(density_inverse_square(n), 150, seed=23)
+    y = add_noise(partial_dft(f, plan), plan, 0.1, model="weighted", seed=4)
+    opts = SolverOptions(max_iters=2000, noise_model="weighted", epsilon=0.1)
+    assert solve(y, plan, opts)[1].converged
+    monkeypatch.setattr(solvers, "dft2_forward", lambda g: dft2_forward(g) + 1.0)
+    _, report = solve(y, plan, opts)
+    assert report.iterations < opts.max_iters  # the objective-change test still fired
+    assert not report.converged
+    assert report.constraint_violation > 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
