@@ -35,25 +35,30 @@ def as_image(pixels):
     return f.astype(np.complex128, copy=False)
 
 
-def gradient(f):
+def gradient(f, out=None):
     """Discrete gradient as one zero-padded (2, n, n) field ``(dx, dy)`` (Needell & Ward, TV).
 
     Forward differences with no wraparound, dx[t1, t2] = f[t1+1, t2] - f[t1, t2] and
     dy[t1, t2] = f[t1, t2+1] - f[t1, t2]; the last row of ``dx`` and the last column of ``dy``
     are zero. A constant image maps to zeros, and ||gradient(f)||^2 <= 8 ||f||^2.
+    ``out`` (complex128, (2, n, n)) receives the field when given; its pads are zeroed.
     """
     f = as_image(f)
     n = f.shape[0]
-    d = np.zeros((2, n, n), dtype=np.complex128)
+    d = np.empty((2, n, n), dtype=np.complex128) if out is None else out
     np.subtract(f[1:], f[:-1], out=d[0, :-1])
     np.subtract(f[:, 1:], f[:, :-1], out=d[1, :, :-1])
+    d[0, -1] = 0
+    d[1, :, -1] = 0
     return d
 
 
-def gradient_adjoint(d):
-    """Adjoint of :func:`gradient` on all of C^(2 x n x n): the pad entries are ignored."""
+def gradient_adjoint(d, out=None):
+    """Adjoint of :func:`gradient` on all of C^(2 x n x n): the pad entries are ignored.
+    ``out`` (complex128, n x n) receives the image when given."""
     dx, dy = d[0, :-1], d[1, :, :-1]
-    out = np.zeros(d.shape[1:], dtype=np.complex128)
+    out = np.empty(d.shape[1:], dtype=np.complex128) if out is None else out
+    out.fill(0)
     out[:-1, :] -= dx
     out[1:, :] += dx
     out[:, :-1] -= dy

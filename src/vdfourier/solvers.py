@@ -25,7 +25,10 @@ the move since the last update, when the residual r = sqrt(omega ||gt - g||^2 +
 Lu & Yang 2024, arXiv 2407.16144). The iterates are not moved. The solve stops when the
 objective changes by at most ``primal_tol`` between two checks; the data fit of the
 returned image is then measured once, with ``dft2_forward``, independently of the
-projection.
+projection. A solve allocates its work arrays once and runs every iteration in them,
+through the ``out`` arguments of the FFT pair and of the gradient and Haar transforms; the
+floating-point operations and their order are those of the allocating calls, so the
+iterates are bit for bit those of the allocating form.
 """
 
 from dataclasses import dataclass
@@ -117,7 +120,7 @@ class SolverReport:
     weight_updates: int
 
 
-def _project_ball(v, lin, w, ybar, r, t):
+def _project_ball(v, lin, w, ybar, r, t, spec=None, out=None):
     """Euclidean projection of the image v onto {g : ||sqrt(w) o ((F g)[lin] - ybar)|| <= r}.
 
     F is unitary, so the unsampled spectrum is kept and, with a = (F v)[lin] - ybar,
@@ -127,12 +130,14 @@ def _project_ball(v, lin, w, ybar, r, t):
     (the previous root): from the right of the root one step lands at or left of it
     (clamped to lo); from the left it converges monotonically. Returns ``(g, root,
     evals)`` (``t`` is passed through when no root is solved for). F is the unphased FFT
-    ``fft2_unphased``: ``ybar`` is given in its frame, so no phase is applied here.
+    ``fft2_unphased``: ``ybar`` is given in its frame, so no phase is applied here. The
+    spectrum is written to ``spec`` and the projection to ``out`` when they are given (both
+    complex, shaped like v); g is v itself when v is inside the ball.
     """
-    s = fft2_unphased(v).ravel()
+    s = fft2_unphased(v, out=spec).ravel()
     if r == 0.0:
         s[lin] = ybar
-        return ifft2_unphased(s.reshape(v.shape)), t, 0
+        return ifft2_unphased(s.reshape(v.shape), out=out), t, 0
     a = s[lin] - ybar
     wa2 = w * (a.real**2 + a.imag**2) / r**2  # phi / r^2 at lam = 0, termwise
     phi0 = wa2.sum()
@@ -148,7 +153,7 @@ def _project_ball(v, lin, w, ybar, r, t):
             break
         t = max(t + (phi - 1.0) / (2.0 * np.dot(terms, w * inv)), lo)
     s[lin] = ybar + a / (1.0 + t * w)
-    return ifft2_unphased(s.reshape(v.shape)), t, evals
+    return ifft2_unphased(s.reshape(v.shape), out=out), t, evals
 
 
 def _merge_draws(plan, y, d2):
@@ -168,7 +173,8 @@ def _merge_draws(plan, y, d2):
 def _solve(y, plan, opts, k1, k1t, lip):
     """PDHG for min ||k1(g)||_1 s.t. ||d o (F_Omega g - y)|| <= eps*sqrt(m).
 
-    The dual q is one array shaped like k1(g) (``k1`` has norm <= ``lip``). An iteration sets
+    The dual q is one array shaped like k1(g) (``k1`` has norm <= ``lip``; ``k1`` and ``k1t``
+    take an ``out`` array, which they fill without reading it). An iteration sets
     gt = P_C(g - tau*k1t(q)) (P_C: data-ball projection), qt = clip(q + sigma*k1(2*gt - g)),
     and (g, q) += _RELAX*(gt - g, qt - q). Checks, report and result use the feasible gt;
     the relaxed anchor g may leave the ball when eps > 0. The merged means are rotated
@@ -199,6 +205,11 @@ def _solve(y, plan, opts, k1, k1t, lip):
                                             ybar_u, radius_distinct, 0.0)
     q = np.zeros_like(k1(g))
     g_ref, q_ref = g.copy(), q.copy()  # the iterates at the last weight update
+    # the work arrays, made once per solve: primal step, then 2*gt - g, then gt - g (g_tmp),
+    # spectrum, projection; dual step, its move qt - q, and its modulus
+    g_tmp, spec, gt = (np.empty_like(g) for _ in range(3))
+    qt, q_diff = np.empty_like(q), np.empty_like(q)
+    mag = np.empty(q.shape)
 
     weight = opts.step_balance
     updates = 0
@@ -206,14 +217,27 @@ def _solve(y, plan, opts, k1, k1t, lip):
     obj_prev = rel_change = np.inf  # no stop before two checks have been compared
     for it in range(1, opts.max_iters + 1):
         tau, sigma = 1.0 / (weight * lip), weight / lip
-        gt, t_ball, evals = _project_ball(g - tau * k1t(q), lin, w, ybar_u, radius_distinct,
-                                          t_ball)
+        np.multiply(tau, k1t(q, out=g_tmp), out=g_tmp)
+        np.subtract(g, g_tmp, out=g_tmp)  # g - tau*k1t(q)
+        step, t_ball, evals = _project_ball(g_tmp, lin, w, ybar_u, radius_distinct, t_ball,
+                                            spec, gt)
+        if step is g_tmp:  # the step was inside the ball: it is gt, and gt's buffer is free
+            g_tmp, gt = gt, g_tmp
         newton_steps += evals
-        qt = q + sigma * k1(2 * gt - g)  # clipped by a real scale: cheaper than complex division
-        qt *= 1.0 / np.maximum(1.0, np.abs(qt))
+        np.multiply(2, gt, out=g_tmp)
+        np.subtract(g_tmp, g, out=g_tmp)  # 2*gt - g
+        np.multiply(sigma, k1(g_tmp, out=qt), out=qt)
+        np.add(q, qt, out=qt)  # q + sigma*k1(2*gt - g)
+        # clipped by a real scale: cheaper than complex division
+        np.abs(qt, out=mag)
+        np.maximum(1.0, mag, out=mag)
+        np.divide(1.0, mag, out=mag)
+        qt *= mag
+        np.subtract(gt, g, out=g_tmp)
+        np.subtract(qt, q, out=q_diff)
         check = it % _CHECK_EVERY == 0
         if it == start or check:
-            r = np.sqrt(weight * norm(gt - g) ** 2 + norm(qt - q) ** 2 / weight)
+            r = np.sqrt(weight * norm(g_tmp) ** 2 + norm(q_diff) ** 2 / weight)
             if it == start:
                 r0 = r
             elif r <= _RESTART_SUFFICIENT * r0 or it - start + 1 >= _RESTART_ARTIFICIAL * it:
@@ -224,10 +248,10 @@ def _solve(y, plan, opts, k1, k1t, lip):
                 np.copyto(q_ref, qt)
                 updates += 1
                 start = it + 1
-        q += _RELAX * (qt - q)
-        g += _RELAX * (gt - g)
+        q += np.multiply(_RELAX, q_diff, out=q_diff)
+        g += np.multiply(_RELAX, g_tmp, out=g_tmp)
         if check:
-            obj = lp_norm(k1(gt), 1)
+            obj = lp_norm(k1(gt, out=qt), 1)
             rel_change = abs(obj - obj_prev) / max(abs(obj), 1e-30)
             obj_prev = obj
             if rel_change <= opts.primal_tol:

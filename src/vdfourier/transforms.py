@@ -118,18 +118,19 @@ def haar_matrix(p):
                            for a, b in _haar_blocks(p)])
 
 
-def haar_forward(f):
+def haar_forward(f, out=None):
     """Bivariate Haar transform to the canonical coefficient vector.
 
     Computed by the recursive 2x2 butterfly scheme in O(n^2 log n); equals
     the dense matrix product with :func:`haar_matrix` rows. Each level forms
     row-pair sums and differences, then column-pair sums and differences of
     those (8 adds per 2x2 block); temporaries stay a quarter of the level.
+    ``out`` (complex128, n*n entries) receives the coefficients when given.
     """
     f = as_image(f)
     n = f.shape[0]
     p = side_exponent(n)
-    w = np.empty(n * n, dtype=np.complex128)
+    w = np.empty(n * n, dtype=np.complex128) if out is None else out
     cur = f
     for lev in range(p - 1, -1, -1):
         q, m = 4**lev, 1 << lev
@@ -146,8 +147,9 @@ def haar_forward(f):
     return w
 
 
-def haar_inverse(w):
-    """Inverse of :func:`haar_forward` (the transform is unitary)."""
+def haar_inverse(w, out=None):
+    """Inverse of :func:`haar_forward` (the transform is unitary); ``out`` (complex128, n x n)
+    receives the image when given."""
     w = np.asarray(w, dtype=np.complex128).ravel()
     n = math.isqrt(w.size)
     if n * n != w.size:
@@ -160,7 +162,8 @@ def haar_inverse(w):
         d10 = w[2 * q : 3 * q].reshape(m, m)
         d11 = w[3 * q : 4 * q].reshape(m, m)
         s0, s1, d0, d1 = cur + d01, cur - d01, d10 + d11, d10 - d11
-        cur = np.empty((2 * m, 2 * m), dtype=np.complex128)
+        last = out is not None and lev == p - 1
+        cur = out if last else np.empty((2 * m, 2 * m), dtype=np.complex128)
         top, bot = cur[0::2], cur[1::2]
         np.add(s0, d0, out=top[:, 0::2])
         np.add(s1, d1, out=top[:, 1::2])
@@ -186,17 +189,21 @@ def dft2_inverse(spec):
     return np.roll(ifft2_unphased(np.asarray(spec, dtype=np.complex128)), -1, axis=(0, 1))
 
 
-def fft2_unphased(f):
-    """Orthonormal FFT: :func:`dft2_forward` without the one-pixel shift.
+def fft2_unphased(f, out=None):
+    """Orthonormal FFT over the last two axes: :func:`dft2_forward` without the one-pixel shift.
 
     At the flat storage positions ``lin`` the two differ by the factor ``sampled_phase(n, lin)``.
+    Two in-place 1-D passes, the loop ``np.fft.fft2`` runs, so the result equals it bit for
+    bit; ``out`` (complex, shaped like ``f``) receives it when given.
     """
-    return np.fft.fft2(f, norm="ortho")
+    out = np.fft.fft(f, axis=-1, norm="ortho", out=out)
+    return np.fft.fft(out, axis=-2, norm="ortho", out=out)
 
 
-def ifft2_unphased(spec):
-    """Inverse (= adjoint) of :func:`fft2_unphased`."""
-    return np.fft.ifft2(spec, norm="ortho")
+def ifft2_unphased(spec, out=None):
+    """Inverse (= adjoint) of :func:`fft2_unphased`, equal to ``np.fft.ifft2``; same ``out``."""
+    out = np.fft.ifft(spec, axis=-1, norm="ortho", out=out)
+    return np.fft.ifft(out, axis=-2, norm="ortho", out=out)
 
 
 def sampled_phase(n, lin):

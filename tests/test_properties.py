@@ -33,6 +33,7 @@ from vdfourier.transforms import (
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+NAN = complex(np.nan, np.nan)  # fills an output array that must be written, never read
 
 
 def random_complex(seed, shape, scale=1.0):
@@ -68,22 +69,30 @@ def test_project_ball_is_the_warm_startable_projection(p, seed, draws, w_spread,
         return np.linalg.norm(np.sqrt(w) * (fft2_unphased(g).ravel()[lin] - ybar))
 
     r = r_frac * dist(v)
-    pv, root, _ = _project_ball(v, lin, w, ybar, r, 0.0)
-    for t0 in (1e-3 * root, 10.0 * root, 1e6):
-        warm, _, evals = _project_ball(v, lin, w, ybar, r, t0)
-        assert evals < 80
-        assert np.linalg.norm(warm - pv) <= 1e-10 * np.linalg.norm(pv)
-    scale = np.linalg.norm(v) + np.linalg.norm(np.sqrt(w) * ybar)
-    assert dist(pv) <= r + 1e-12 * (r if r > 0 else scale)
-    # optimality: v - Pv is normal to the ball at Pv
-    h, _, _ = _project_ball(u, lin, w, ybar, r, 0.0)
-    normal = np.vdot(v - pv, h - pv).real
-    assert normal <= 1e-10 * np.linalg.norm(v) * np.linalg.norm(h)
-    again, _, _ = _project_ball(pv, lin, w, ybar, r, root)
-    assert np.linalg.norm(again - pv) <= 1e-12 * scale
-    if r > 0:  # a point strictly inside comes back untouched
-        inside, _, _ = _project_ball(v, lin, w, ybar, r / 2, 0.0)
-        assert _project_ball(inside, lin, w, ybar, r, 0.0)[0] is inside
+    results = []
+    # allocating, then into NaN-filled spectrum and output buffers as the solver loop passes them
+    for buffers in (lambda: (), lambda: (np.full((n, n), NAN), np.full((n, n), NAN))):
+        def project(x, radius, t):
+            return _project_ball(x, lin, w, ybar, radius, t, *buffers())
+
+        pv, root, _ = project(v, r, 0.0)
+        for t0 in (1e-3 * root, 10.0 * root, 1e6):
+            warm, _, evals = project(v, r, t0)
+            assert evals < 80
+            assert np.linalg.norm(warm - pv) <= 1e-10 * np.linalg.norm(pv)
+        scale = np.linalg.norm(v) + np.linalg.norm(np.sqrt(w) * ybar)
+        assert dist(pv) <= r + 1e-12 * (r if r > 0 else scale)
+        # optimality: v - Pv is normal to the ball at Pv
+        h, _, _ = project(u, r, 0.0)
+        normal = np.vdot(v - pv, h - pv).real
+        assert normal <= 1e-10 * np.linalg.norm(v) * np.linalg.norm(h)
+        again, _, _ = project(pv, r, root)
+        assert np.linalg.norm(again - pv) <= 1e-12 * scale
+        if r > 0:  # a point strictly inside comes back untouched
+            inside, _, _ = project(v, r / 2, 0.0)
+            assert project(inside, r, 0.0)[0] is inside
+        results.append((pv, root))
+    assert np.array_equal(results[0][0], results[1][0]) and results[0][1] == results[1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +136,27 @@ def test_haar_forward_matches_matrix_and_is_unitary(p, seed):
     np.testing.assert_allclose(coef, haar_matrix(p) @ f.ravel(), atol=1e-12)
     np.testing.assert_allclose(haar_inverse(coef), f, atol=1e-12)
     assert abs(np.vdot(coef, w) - np.vdot(f, haar_inverse(w))) <= 1e-12 * n * n
+
+
+# ---------------------------------------------------------------------------
+# operators writing into a given array
+
+@PROPERTY
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
+def test_out_receives_the_allocating_result_without_reading_it(p, seed, k):
+    n = 1 << p
+    f = random_complex(seed, (n, n))
+    stack = random_complex(seed + 1, (k, n, n))  # the atom stacks of the verify layer
+    cases = [
+        (fft2_unphased, f), (fft2_unphased, stack), (ifft2_unphased, f), (ifft2_unphased, stack),
+        (gradient, f), (gradient_adjoint, random_complex(seed + 2, (2, n, n))),
+        (haar_forward, f), (haar_inverse, random_complex(seed + 3, n * n)),
+    ]
+    for op, x in cases:
+        want = op(x)
+        out = np.full_like(want, NAN)
+        assert op(x, out=out) is out
+        assert np.array_equal(out, want), op.__name__
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,24 @@ def test_newton_steps_counts_prox_work():
     assert noisy.newton_steps > 0
 
 
+@pytest.mark.parametrize("solve", [tv_min_reconstruct, l1_haar_reconstruct])
+def test_zero_image_inside_the_ball_takes_the_inside_branch_throughout(solve):
+    # eps so large that the zero image is feasible: every projection returns its input, and
+    # the loop swaps work arrays each time instead of writing the projection
+    n = 16
+    f = rect_phantom(n, seed=7, side=6)
+    plan = draw_plan(density_inverse_square(n), 150, seed=23)
+    y = partial_dft(f, plan)
+    opts = SolverOptions(max_iters=500, epsilon=np.linalg.norm(y))  # radius ||y|| sqrt(m)
+    g, report = solve(y, plan, opts)
+    assert report.converged
+    assert report.objective == 0.0 and report.newton_steps == 0
+    assert np.all(g == 0)
+    kept = g.copy()
+    solve(y, plan, SolverOptions(max_iters=200))
+    assert np.array_equal(g, kept)
+
+
 def test_solver_rejects_length_mismatch():
     plan = draw_plan(density_inverse_square(8), 30, seed=8)
     with pytest.raises(ValueError):
