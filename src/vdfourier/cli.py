@@ -45,7 +45,7 @@ from .sampling import (
     draw_plan,
 )
 from .solvers import SolverOptions, add_noise, l1_haar_reconstruct, tv_min_reconstruct
-from .transforms import freq_values, partial_dft
+from .transforms import freq_grids, freq_values, partial_dft
 from .verify import (
     build_preconditioned_matrix,
     check_atom_tv,
@@ -324,9 +324,8 @@ def cmd_verify(args):
     iso = isotropy_identity_error(density_from_kappa(kappa_table(8)))
     results.append(_check_row("preconditioned isotropy identity", 1e-10, iso, iso <= 1e-10, n=8))
 
-    ks = freq_values(8)
-    freqs = np.stack(np.meshgrid(ks, ks, indexing="ij"), axis=-1).reshape(-1, 2)
-    full = SamplingPlan(n=8, freqs=freqs, rho=np.full(64, 8.0))
+    full = SamplingPlan(n=8, freqs=np.stack(freq_grids(8), axis=-1).reshape(-1, 2),
+                        rho=np.full(64, 8.0))
     delta = rip_exact(build_preconditioned_matrix(full), 2).delta
     results.append(_check_row("full-sampling RIP delta_2 = 0", 1e-10, delta, delta <= 1e-10, n=8))
 
@@ -346,11 +345,11 @@ def cmd_verify(args):
 
 def _add_common_solver_flags(sp):
     sp.add_argument("--noise-model", choices=["weighted", "unweighted"],
-                    default="unweighted")
+                    default=SolverOptions.noise_model)
     sp.add_argument("--solver", choices=["tv", "haar"], default="tv")
-    sp.add_argument("--max-iters", type=int, default=20000)
-    sp.add_argument("--primal-tol", type=float, default=1e-6)
-    sp.add_argument("--dual-tol", type=float, default=1e-6)
+    sp.add_argument("--max-iters", type=int, default=SolverOptions.max_iters)
+    sp.add_argument("--primal-tol", type=float, default=SolverOptions.primal_tol)
+    sp.add_argument("--dual-tol", type=float, default=SolverOptions.dual_tol)
 
 
 def build_parser():
@@ -382,7 +381,7 @@ def build_parser():
     sp.add_argument("--m", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--eps", type=float, default=0.0, help="noise level epsilon")
+    sp.add_argument("--eps", type=float, default=SolverOptions.epsilon, help="noise level epsilon")
     _add_common_solver_flags(sp)
     sp.set_defaults(func=cmd_reconstruct)
 

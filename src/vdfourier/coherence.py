@@ -10,7 +10,7 @@ the exact supremum costs O(n^2 log n) instead of the O(n^6) dense scan.
 import numpy as np
 
 from .image_core import side_exponent
-from .transforms import _check_1d_index, freq_values
+from .transforms import _capped_inverse, _check_1d_index, freq_values
 
 __all__ = [
     "fourier_haar_inner_1d",
@@ -89,17 +89,12 @@ def local_coherence_exact(n):
 
 def kappa_bound(k1, k2):
     """Pointwise coherence bound min(1, 18*pi / max(|k1|, |k2|))."""
-    mx = np.maximum(np.abs(k1), np.abs(k2)).astype(float)
-    with np.errstate(divide="ignore"):
-        val = np.where(mx > 0, KAPPA_SCALE / np.where(mx > 0, mx, 1.0), np.inf)
-    return np.minimum(1.0, val)
+    return _capped_inverse(KAPPA_SCALE, np.maximum(np.abs(k1), np.abs(k2)))
 
 
 def kappa_prime_bound(k1, k2):
     """Radial coherence bound min(1, 18*pi*sqrt(2) / sqrt(k1^2 + k2^2))."""
-    r = np.hypot(np.asarray(k1, dtype=float), np.asarray(k2, dtype=float))
-    val = np.where(r > 0, KAPPA_SCALE * np.sqrt(2) / np.where(r > 0, r, 1.0), np.inf)
-    return np.minimum(1.0, val)
+    return _capped_inverse(KAPPA_SCALE * np.sqrt(2), np.hypot(k1, k2))
 
 
 def kappa_table(n):

@@ -76,15 +76,9 @@ def lp_norm(x, p):
     x = np.asarray(x).ravel()
     if p != np.inf and p < 1:
         raise ValueError(f"lp_norm requires p >= 1 or p = inf, got {p}")
-    if x.size == 0:
-        return 0.0
     mags = np.abs(x)
     if p == np.inf:
-        return float(mags.max())
-    if p == 1:
-        return float(mags.sum())
-    if p == 2:
-        return float(np.sqrt((mags * mags).sum()))
+        return float(mags.max(initial=0.0))
     return float((mags**p).sum() ** (1.0 / p))
 
 

@@ -40,13 +40,20 @@ def read_pgm(path):
     height, _ = next(toks)
     (maxval, end) = next(toks)
     width, height, maxval = int(width), int(height), int(maxval)
+    if width < 1 or height < 1:
+        raise ValueError(f"invalid PGM size {width} x {height}")
     if not 0 < maxval < 65536:
         raise ValueError(f"invalid maxval {maxval}")
     count = width * height
     if magic == b"P2":
-        vals = np.array(data[end:].split()[:count], dtype=np.uint32)
-        if vals.size != count:
+        toks = data[end:].split()[:count]
+        if len(toks) != count:
             raise ValueError("truncated P2 pixel data")
+        # Python ints first: a sign or a value past uint32 is named, not an OverflowError
+        bad = next((t for t in toks if not 0 <= int(t) <= maxval), None)
+        if bad is not None:
+            raise ValueError(f"pixel value {bad.decode()} outside [0, maxval = {maxval}]")
+        vals = np.array(toks, dtype=np.uint32)
     else:
         # single whitespace byte separates header from raster
         raw = data[end + 1 :]
@@ -55,8 +62,8 @@ def read_pgm(path):
         if len(raw) < need:
             raise ValueError("truncated P5 pixel data")
         vals = np.frombuffer(raw[:need], dtype=dtype).astype(np.uint32)
-    if vals.max(initial=0) > maxval:
-        raise ValueError("pixel value exceeds maxval")
+        if vals.max() > maxval:
+            raise ValueError(f"pixel value {vals.max()} outside [0, maxval = {maxval}]")
     return vals.reshape(height, width).astype(float) / maxval, maxval
 
 

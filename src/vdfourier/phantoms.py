@@ -1,25 +1,24 @@
-"""Synthetic test images: gradient-sparse rectangles and compressible scenes."""
+"""Synthetic test images: a gradient-sparse square, a head phantom and a compressible scene."""
 
 import numpy as np
 
 __all__ = ["rect_phantom", "shepp_logan", "compressible_scene"]
 
 
-def rect_phantom(n, seed=0, rects=1, side=10):
-    """Piecewise-constant image made of axis-aligned rectangles.
+def rect_phantom(n, seed=0, side=10):
+    """Piecewise-constant image: one axis-aligned square of the given side.
 
-    Each interior rectangle of side ``s`` contributes 4*s nonzero gradient
-    entries, so a single 10 x 10 rectangle gives a gradient support of 40.
-    Positions and amplitudes are drawn from the seed.
+    An interior square of side ``s`` contributes 4*s nonzero gradient
+    entries, so a 10 x 10 square gives a gradient support of 40.
+    Its position and amplitude are drawn from the seed.
     """
     if n < side + 4:
-        raise ValueError(f"n = {n} too small for side-{side} rectangles")
+        raise ValueError(f"n = {n} too small for a side-{side} square")
     rng = np.random.default_rng(seed)
+    r0 = int(rng.integers(1, n - side - 1))
+    c0 = int(rng.integers(1, n - side - 1))
     f = np.zeros((n, n))
-    for _ in range(rects):
-        r0 = int(rng.integers(1, n - side - 1))
-        c0 = int(rng.integers(1, n - side - 1))
-        f[r0 : r0 + side, c0 : c0 + side] += rng.uniform(0.5, 1.0)
+    f[r0 : r0 + side, c0 : c0 + side] = rng.uniform(0.5, 1.0)
     return f
 
 

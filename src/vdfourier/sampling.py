@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image_core import side_exponent
-from .transforms import freq_grids, freq_to_index, freq_values
+from .transforms import _capped_inverse, freq_grids, freq_to_index, freq_values
 
 __all__ = [
     "Density",
@@ -116,23 +116,14 @@ def _normalized(mass):
 
 
 def density_uniform(n):
-    """Uniform density, 1/n^2 per frequency."""
-    side_exponent(n)  # before np.ones, which has its own message for n < 0
-    return _normalized(np.ones((n, n)))
+    """Uniform density, 1/n^2 per frequency: the power law at alpha = 0."""
+    return density_power_law(n, 0.0)
 
 
-def density_inverse_square(n, cap=1.0):
-    """Density proportional to min(cap, 1/(k1^2 + k2^2)).
-
-    The cap makes the mass finite at the zero frequency; with the default
-    ``cap=1`` it binds only at radius <= 1.
-    """
-    if not 0 < cap < math.inf:
-        raise ValueError(f"cap must be positive and finite, got {cap}")
+def density_inverse_square(n):
+    """Density proportional to min(1, 1/(k1^2 + k2^2)); the cap binds only at radius <= 1."""
     k1, k2 = freq_grids(n)
-    r2 = k1.astype(float) ** 2 + k2.astype(float) ** 2
-    inv = np.divide(1.0, r2, out=np.full_like(r2, np.inf), where=r2 > 0)
-    return _normalized(np.minimum(cap, inv))
+    return _normalized(_capped_inverse(1.0, k1.astype(float) ** 2 + k2.astype(float) ** 2))
 
 
 def density_power_law(n, alpha):
@@ -155,9 +146,7 @@ def density_power_law(n, alpha):
 def density_inverse_max(n):
     """Density proportional to min(1, 1/max(|k1|, |k2|))."""
     k1, k2 = freq_grids(n)
-    mx = np.maximum(np.abs(k1), np.abs(k2)).astype(float)
-    inv = np.divide(1.0, mx, out=np.full_like(mx, np.inf), where=mx > 0)
-    return _normalized(np.minimum(1.0, inv))
+    return _normalized(_capped_inverse(1.0, np.maximum(np.abs(k1), np.abs(k2))))
 
 
 def density_from_kappa(kappa_table):

@@ -120,7 +120,7 @@ class SolverReport:
     weight_updates: int
 
 
-def _project_ball(v, lin, w, ybar, r, t, spec=None, out=None):
+def _project_ball(v, lin, w, ybar, r, t, out=None):
     """Euclidean projection of the image v onto {g : ||sqrt(w) o ((F g)[lin] - ybar)|| <= r}.
 
     F is unitary, so the unsampled spectrum is kept and, with a = (F v)[lin] - ybar,
@@ -130,14 +130,15 @@ def _project_ball(v, lin, w, ybar, r, t, spec=None, out=None):
     (the previous root): from the right of the root one step lands at or left of it
     (clamped to lo); from the left it converges monotonically. Returns ``(g, root,
     evals)`` (``t`` is passed through when no root is solved for). F is the unphased FFT
-    ``fft2_unphased``: ``ybar`` is given in its frame, so no phase is applied here. The
-    spectrum is written to ``spec`` and the projection to ``out`` when they are given (both
-    complex, shaped like v); g is v itself when v is inside the ball.
+    ``fft2_unphased``: ``ybar`` is given in its frame, so no phase is applied here. The FFT
+    pair runs in place in ``out`` when it is given (complex, shaped like v); g is v itself
+    when v is inside the ball.
     """
-    s = fft2_unphased(v, out=spec).ravel()
+    spec = fft2_unphased(v, out=out)
+    s = spec.ravel()
     if r == 0.0:
         s[lin] = ybar
-        return ifft2_unphased(s.reshape(v.shape), out=out), t, 0
+        return ifft2_unphased(spec, out=spec), t, 0
     a = s[lin] - ybar
     wa2 = w * (a.real**2 + a.imag**2) / r**2  # phi / r^2 at lam = 0, termwise
     phi0 = wa2.sum()
@@ -153,7 +154,7 @@ def _project_ball(v, lin, w, ybar, r, t, spec=None, out=None):
             break
         t = max(t + (phi - 1.0) / (2.0 * np.dot(terms, w * inv)), lo)
     s[lin] = ybar + a / (1.0 + t * w)
-    return ifft2_unphased(s.reshape(v.shape), out=out), t, evals
+    return ifft2_unphased(spec, out=spec), t, evals
 
 
 def _merge_draws(plan, y, d2):
@@ -206,8 +207,8 @@ def _solve(y, plan, opts, k1, k1t, lip):
     q = np.zeros_like(k1(g))
     g_ref, q_ref = g.copy(), q.copy()  # the iterates at the last weight update
     # the work arrays, made once per solve: primal step, then 2*gt - g, then gt - g (g_tmp),
-    # spectrum, projection; dual step, its move qt - q, and its modulus
-    g_tmp, spec, gt = (np.empty_like(g) for _ in range(3))
+    # projection; dual step, its move qt - q, and its modulus
+    g_tmp, gt = np.empty_like(g), np.empty_like(g)
     qt, q_diff = np.empty_like(q), np.empty_like(q)
     mag = np.empty(q.shape)
 
@@ -219,8 +220,7 @@ def _solve(y, plan, opts, k1, k1t, lip):
         tau, sigma = 1.0 / (weight * lip), weight / lip
         np.multiply(tau, k1t(q, out=g_tmp), out=g_tmp)
         np.subtract(g, g_tmp, out=g_tmp)  # g - tau*k1t(q)
-        step, t_ball, evals = _project_ball(g_tmp, lin, w, ybar_u, radius_distinct, t_ball,
-                                            spec, gt)
+        step, t_ball, evals = _project_ball(g_tmp, lin, w, ybar_u, radius_distinct, t_ball, gt)
         if step is g_tmp:  # the step was inside the ball: it is gt, and gt's buffer is free
             g_tmp, gt = gt, g_tmp
         newton_steps += evals

@@ -56,6 +56,12 @@ def freq_grids(n):
     return np.meshgrid(ks, ks, indexing="ij")
 
 
+def _capped_inverse(scale, x):
+    """min(1, scale / x) for x >= 0, with 1 where x = 0: the cap of every decay rule."""
+    x = np.asarray(x, dtype=float)
+    return np.minimum(1.0, np.divide(scale, x, out=np.full_like(x, np.inf), where=x > 0))
+
+
 def freq_to_index(k1, k2, n):
     """Storage position of frequency (k1, k2); rejects out-of-range input."""
     k1 = np.asarray(k1)

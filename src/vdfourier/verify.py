@@ -31,23 +31,16 @@ ENUMERATION_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class RipEstimate:
-    """Restricted isometry constant of order s.
+    """Restricted isometry constant ``delta`` of order s over ``supports_checked`` supports.
 
-    Exhaustive enumeration fills ``delta_exact``; random supports yield
-    only the lower bound ``delta_lower_mc`` (an exhaustive run records its
-    value in both fields, the exact constant being the tightest bound).
+    ``exhaustive``: every size-s support was checked, so ``delta`` is exact; otherwise
+    the supports were random and ``delta`` is a lower bound.
     """
 
     s: int
-    delta_lower_mc: float
+    delta: float
     supports_checked: int
-    method: str  # "exhaustive" | "monte_carlo"
-    delta_exact: float | None = None
-
-    @property
-    def delta(self):
-        """Best available value: exact when known, else the lower bound."""
-        return self.delta_exact if self.delta_exact is not None else self.delta_lower_mc
+    exhaustive: bool
 
 
 def _delta_over_supports(gram, supports):
@@ -84,9 +77,8 @@ def rip_exact(a, s):
     supports = np.fromiter(
         (i for comb in combinations(range(n), s) for i in comb), dtype=np.intp
     ).reshape(count, s)
-    delta = _delta_over_supports(gram, supports)
-    return RipEstimate(s=s, delta_lower_mc=delta, supports_checked=count,
-                       method="exhaustive", delta_exact=delta)
+    return RipEstimate(s=s, delta=_delta_over_supports(gram, supports), supports_checked=count,
+                       exhaustive=True)
 
 
 def rip_monte_carlo(a, s, trials, seed=0):
@@ -97,9 +89,8 @@ def rip_monte_carlo(a, s, trials, seed=0):
     rng = np.random.default_rng(seed)
     supports = np.stack([rng.choice(n, size=s, replace=False) for _ in range(trials)])
     gram = a.conj().T @ a
-    delta = _delta_over_supports(gram, supports)
-    return RipEstimate(s=s, delta_lower_mc=delta, supports_checked=trials,
-                       method="monte_carlo")
+    return RipEstimate(s=s, delta=_delta_over_supports(gram, supports), supports_checked=trials,
+                       exhaustive=False)
 
 
 def _atom_spectra(n):

@@ -12,6 +12,7 @@ from vdfourier.cli import _write_grid_csv, main
 from vdfourier.coherence import kappa_l2, kappa_prime_table, kappa_table, local_coherence_exact
 from vdfourier.pgm import read_pgm, write_pgm
 from vdfourier.sampling import deterministic_mask
+from vdfourier.solvers import SolverOptions
 from vdfourier.phantoms import shepp_logan
 from vdfourier.transforms import freq_values
 
@@ -182,6 +183,16 @@ def test_cmd_sample_random_density_requires_m(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # reconstruct
+
+def test_bare_reconstruct_and_sweep_parse_to_the_default_solver_options():
+    parser = cli.build_parser()
+    reconstruct = parser.parse_args(["reconstruct", "--image", "a.pgm", "--density", "uniform",
+                                     "--out", "o"])
+    sweep = parser.parse_args(["sweep", "--image", "a.pgm", "--alphas", "0", "--m", "4",
+                               "--out", "o"])
+    assert cli._solver_options(reconstruct, reconstruct.eps) == SolverOptions()
+    assert cli._solver_options(sweep, float(sweep.eps_list)) == SolverOptions()
+
 
 def test_cmd_reconstruct_full_sampling_identity(tmp_path):
     img_path = tmp_path / "in.pgm"
@@ -488,14 +499,27 @@ def test_cmd_sweep_all_cells_failed_exits_5(tmp_path, monkeypatch):
         assert [r["status"] for r in csv.DictReader(fh)] == ["error: solver exploded"] * 2
 
 
-@pytest.mark.parametrize("data", [b"", b"P5\n4 4\n", b"P2\n"], ids=["empty", "no-maxval", "p2-no-size"])
-def test_cmd_reconstruct_and_sweep_reject_truncated_pgm_header(tmp_path, data):
+def assert_image_rejected_before_out(tmp_path, data):
     img_path = tmp_path / "bad.pgm"
     img_path.write_bytes(data)
     for args in (["reconstruct", "--density", "uniform", "--m", "4"], ["sweep", "--alphas", "2", "--m", "4"]):
         out = tmp_path / args[0]
         assert main(args + ["--image", str(img_path), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("data", [b"", b"P5\n4 4\n", b"P2\n"], ids=["empty", "no-maxval", "p2-no-size"])
+def test_cmd_reconstruct_and_sweep_reject_truncated_pgm_header(tmp_path, data):
+    assert_image_rejected_before_out(tmp_path, data)
+
+
+@pytest.mark.parametrize("data", [b"P2\n2 2\n255\n0 0 -1 0\n", b"P2\n2 2\n255\n0 0 0 4294967296\n",
+                                  b"P5\n-2 -2\n255\n" + bytes(4)],
+                         ids=["negative-pixel", "pixel-past-uint32", "negative-size"])
+def test_cmd_reconstruct_and_sweep_reject_bad_pgm_values(tmp_path, data, capsys):
+    assert_image_rejected_before_out(tmp_path, data)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error: ") == 2
 
 
 def test_cmd_sweep_parallel_matches_serial(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -205,6 +206,21 @@ def test_kappa_cap_boundary():
     assert float(kappa_bound(56, 0)) == 1.0
     val = float(kappa_bound(57, 0))
     assert val == pytest.approx(18 * np.pi / 57) and val < 1.0
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_kappa_tables_match_the_scalar_formulas_bit_for_bit(n):
+    ks = freq_values(n).tolist()
+    scale = 18 * np.pi
+
+    def capped(x, c):  # min(1, c / x), and 1 at x = 0
+        return 1.0 if x == 0 else min(1.0, c / x)
+
+    kap = [[capped(max(abs(k1), abs(k2)), scale) for k2 in ks] for k1 in ks]
+    kapp = [[capped(math.sqrt(k1 * k1 + k2 * k2), scale * math.sqrt(2)) for k2 in ks]
+            for k1 in ks]
+    assert kappa_table(n).tolist() == kap
+    assert kappa_prime_table(n).tolist() == kapp
 
 
 def test_kappa_le_kappa_prime_exhaustive_n64():

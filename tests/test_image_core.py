@@ -96,6 +96,7 @@ def test_tv_shift_and_scale():
 
 def test_lp_norm_basics():
     assert lp_norm(np.zeros(5), 3.0) == 0.0
+    assert [lp_norm([], p) for p in (1, 2, 3.0, np.inf)] == [0.0] * 4
     assert lp_norm([3.0, 4.0], 2) == pytest.approx(5.0)
     assert lp_norm([1, -2, 3], np.inf) == 3.0
     rng = np.random.default_rng(31)

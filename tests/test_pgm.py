@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,29 @@ def test_read_rejects_truncated_header(tmp_path, data):
     path = tmp_path / "h.pgm"
     path.write_bytes(data)
     with pytest.raises(ValueError, match="truncated PGM header"):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("data, bad", [
+    (b"P2\n2 1\n255\n0 -1\n", "pixel value -1 outside [0, maxval = 255]"),
+    (b"P2\n2 1\n255\n4294967296 0\n", "pixel value 4294967296 outside"),
+    (b"P2\n2 1\n255\n7 256\n", "pixel value 256 outside"),
+    (b"P5\n2 1\n200\n\x00\xc9", "pixel value 201 outside [0, maxval = 200]"),
+], ids=["p2-negative", "p2-past-uint32", "p2-past-maxval", "p5-past-maxval"])
+def test_read_names_a_pixel_value_out_of_range(tmp_path, data, bad):
+    path = tmp_path / "v.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("size", [b"-2 -2", b"-1 2", b"2 0"], ids=["negative", "negative-width", "zero-height"])
+@pytest.mark.parametrize("magic, raster", [(b"P2", b"0 0 0 0\n"), (b"P5", b"\x00" * 4)], ids=["p2", "p5"])
+def test_read_names_a_size_that_is_not_positive(tmp_path, size, magic, raster):
+    path = tmp_path / "s.pgm"
+    path.write_bytes(magic + b"\n" + size + b"\n255\n" + raster)
+    width, height = size.decode().split()
+    with pytest.raises(ValueError, match=f"invalid PGM size {width} x {height}"):
         read_pgm(path)
 
 

@@ -1,5 +1,5 @@
 """Property tests (hypothesis) for the data-ball projection, the duplicate merge,
-the discrete gradient, the transforms, the partial DFT, the closed-form Fourier-Haar
+the discrete gradient, the lp norms, the transforms, the partial DFT, the closed-form Fourier-Haar
 inner products, the grid CSV writer and PGM round trips."""
 
 import numpy as np
@@ -14,7 +14,7 @@ from vdfourier.coherence import (
     coherence_tables_1d,
     fourier_haar_inner_1d,
 )
-from vdfourier.image_core import gradient, gradient_adjoint
+from vdfourier.image_core import gradient, gradient_adjoint, lp_norm
 from vdfourier.pgm import read_pgm, write_pgm
 from vdfourier.sampling import SamplingPlan
 from vdfourier.solvers import _merge_draws, _project_ball
@@ -70,8 +70,8 @@ def test_project_ball_is_the_warm_startable_projection(p, seed, draws, w_spread,
 
     r = r_frac * dist(v)
     results = []
-    # allocating, then into NaN-filled spectrum and output buffers as the solver loop passes them
-    for buffers in (lambda: (), lambda: (np.full((n, n), NAN), np.full((n, n), NAN))):
+    # allocating, then in place in one NaN-filled output buffer as the solver loop passes it
+    for buffers in (lambda: (), lambda: (np.full((n, n), NAN),)):
         def project(x, radius, t):
             return _project_ball(x, lin, w, ybar, radius, t, *buffers())
 
@@ -121,6 +121,21 @@ def test_gradient_pads_are_zero_and_norm_is_at_most_sqrt8(p, seed, mix):
     assert d.shape == (2, n, n)
     assert np.all(d[0, -1] == 0) and np.all(d[1, :, -1] == 0)
     assert np.vdot(d, d).real <= 8 * np.vdot(f, f).real
+
+
+# ---------------------------------------------------------------------------
+# lp norms
+
+@PROPERTY
+@given(size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+       real=st.booleans())
+def test_lp_norm_is_the_general_formula(size, seed, scale, real):
+    x = random_complex(seed, size, scale)
+    x = x.real if real else x
+    assert lp_norm(x, 1) == float(np.abs(x).sum())  # the p = 1 case, bit for bit
+    for p in (2, 3, np.inf):
+        ref = np.linalg.norm(x, p)
+        assert abs(lp_norm(x, p) - ref) <= 1e-12 * ref
 
 
 # ---------------------------------------------------------------------------

@@ -55,9 +55,8 @@ def test_rip_exact_matches_svd_oracle():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((6, 12)) / np.sqrt(6)
     est = rip_exact(a, 2)
-    assert est.method == "exhaustive"
+    assert est.exhaustive
     assert est.supports_checked == 66
-    assert est.delta_exact == est.delta_lower_mc == est.delta
     assert est.delta == pytest.approx(rip_oracle_svd(a, 2), rel=1e-10)
 
 
@@ -80,9 +79,7 @@ def test_rip_monte_carlo_lower_bound_and_reproducible():
     mc1 = rip_monte_carlo(a, 2, trials=30, seed=5)
     mc2 = rip_monte_carlo(a, 2, trials=30, seed=5)
     assert mc1.delta == mc2.delta
-    assert mc1.method == "monte_carlo"
-    assert mc1.delta_exact is None
-    assert mc1.delta == mc1.delta_lower_mc
+    assert not mc1.exhaustive and mc1.supports_checked == 30
     assert mc1.delta <= exact + 1e-12
     q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
     assert rip_monte_carlo(q, 3, trials=20, seed=6).delta <= 1e-12
