@@ -93,8 +93,8 @@ def kappa_bound(k1, k2):
 
 
 def kappa_prime_bound(k1, k2):
-    """Radial coherence bound min(1, 18*pi*sqrt(2) / sqrt(k1^2 + k2^2))."""
-    return _capped_inverse(KAPPA_SCALE * np.sqrt(2), np.hypot(k1, k2))
+    """Radial coherence bound min(1, 18*pi*sqrt(2) / sqrt(k1^2 + k2^2)) (exact integer sum)."""
+    return _capped_inverse(KAPPA_SCALE * np.sqrt(2), np.sqrt(k1 * k1 + k2 * k2))
 
 
 def kappa_table(n):

@@ -4,27 +4,18 @@ Reads binary P5 and ASCII P2 at 8 or 16 bits; writes P5. Pixel values are
 exposed as floats in [0, 1] (value / maxval) and quantized back on write.
 """
 
+import re
+
 import numpy as np
 
 __all__ = ["read_pgm", "write_pgm"]
 
 
 def _tokens(data):
-    """Yield whitespace-separated header tokens, skipping # comments; raise at end of data."""
-    i = 0
-    while i < len(data):
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            j = data.find(b"\n", i)
-            i = len(data) if j < 0 else j + 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            yield data[i:j], j
-            i = j
+    """Yield (token, end offset) per whitespace-separated header token, skipping # comments."""
+    for m in re.finditer(rb"#[^\n]*|(\S+)", data):
+        if m[1] is not None:
+            yield m[1], m.end()
     raise ValueError("truncated PGM header")
 
 

@@ -92,9 +92,7 @@ class SamplingPlan:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["j", "k1", "k2", "rho"])
-            for j in range(self.m):
-                w.writerow([j, int(self.freqs[j, 0]), int(self.freqs[j, 1]),
-                            repr(float(self.rho[j]))])
+            w.writerows(zip(range(self.m), *self.freqs.T.tolist(), map(repr, self.rho.tolist())))
 
     @classmethod
     def from_csv(cls, path, n):

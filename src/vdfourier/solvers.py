@@ -25,12 +25,14 @@ the move since the last update, when the residual r = sqrt(omega ||gt - g||^2 +
 Lu & Yang 2024, arXiv 2407.16144). The iterates are not moved. The solve stops when the
 objective changes by at most ``primal_tol`` between two checks; the data fit of the
 returned image is then measured once, with ``dft2_forward``, independently of the
-projection. A solve allocates its work arrays once and runs every iteration in them,
-through the ``out`` arguments of the FFT pair and of the gradient and Haar transforms; the
-floating-point operations and their order are those of the allocating calls, so the
-iterates are bit for bit those of the allocating form.
+projection. Each PDHG state z = (g, q) (the iterate, the trial point, the move and the
+restart reference) is one array made once per solve, so the move, the relaxation and the
+restart copy are one operation each; every iteration runs in them through the ``out``
+arguments of the FFT pair, the projection and the transforms, with the operations and their
+order of the allocating calls, so the iterates are bit for bit those of the allocating form.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +122,7 @@ class SolverReport:
     weight_updates: int
 
 
-def _project_ball(v, lin, w, ybar, r, t, out=None):
+def _project_ball(v, lin, w, ybar, r, t, out):
     """Euclidean projection of the image v onto {g : ||sqrt(w) o ((F g)[lin] - ybar)|| <= r}.
 
     F is unitary, so the unsampled spectrum is kept and, with a = (F v)[lin] - ybar,
@@ -128,22 +130,22 @@ def _project_ball(v, lin, w, ybar, r, t, out=None):
     = r^2 (v itself if phi(0) <= r^2). phi is convex decreasing and phi(lo) >= r^2 at
     lo = (sqrt(phi(0))/r - 1)/max(w). Newton starts at max(t, lo) for a warm start ``t``
     (the previous root): from the right of the root one step lands at or left of it
-    (clamped to lo); from the left it converges monotonically. Returns ``(g, root,
-    evals)`` (``t`` is passed through when no root is solved for). F is the unphased FFT
-    ``fft2_unphased``: ``ybar`` is given in its frame, so no phase is applied here. The FFT
-    pair runs in place in ``out`` when it is given (complex, shaped like v); g is v itself
-    when v is inside the ball.
+    (clamped to lo); from the left it converges monotonically. The projection is written
+    into ``out`` (complex, shaped like v, not v itself), where the FFT pair runs in place;
+    returns ``(root, evals)`` (``t`` is passed through when no root is solved for). F is the
+    unphased FFT ``fft2_unphased``: ``ybar`` is given in its frame, so no phase is applied.
     """
-    spec = fft2_unphased(v, out=out)
-    s = spec.ravel()
+    s = fft2_unphased(v, out=out).ravel()
     if r == 0.0:
         s[lin] = ybar
-        return ifft2_unphased(spec, out=spec), t, 0
+        ifft2_unphased(out, out=out)
+        return t, 0
     a = s[lin] - ybar
     wa2 = w * (a.real**2 + a.imag**2) / r**2  # phi / r^2 at lam = 0, termwise
     phi0 = wa2.sum()
     if phi0 <= 1.0:
-        return v, t, 0
+        np.copyto(out, v)
+        return t, 0
     lo = (np.sqrt(phi0) - 1.0) / w.max()
     t = max(t, lo)
     for evals in range(1, 81):
@@ -154,7 +156,8 @@ def _project_ball(v, lin, w, ybar, r, t, out=None):
             break
         t = max(t + (phi - 1.0) / (2.0 * np.dot(terms, w * inv)), lo)
     s[lin] = ybar + a / (1.0 + t * w)
-    return ifft2_unphased(spec, out=spec), t, evals
+    ifft2_unphased(out, out=out)
+    return t, evals
 
 
 def _merge_draws(plan, y, d2):
@@ -177,10 +180,10 @@ def _solve(y, plan, opts, k1, k1t, lip):
     The dual q is one array shaped like k1(g) (``k1`` has norm <= ``lip``; ``k1`` and ``k1t``
     take an ``out`` array, which they fill without reading it). An iteration sets
     gt = P_C(g - tau*k1t(q)) (P_C: data-ball projection), qt = clip(q + sigma*k1(2*gt - g)),
-    and (g, q) += _RELAX*(gt - g, qt - q). Checks, report and result use the feasible gt;
-    the relaxed anchor g may leave the ball when eps > 0. The merged means are rotated
-    once into the frame of the unphased FFT, where P_C works; the data fit of the result
-    is measured with the phased ``dft2_forward`` instead, independently of P_C.
+    and z += _RELAX*(zt - z) for z = (g, q) and zt = (gt, qt), one array each. Checks, report
+    and result use the feasible gt; the relaxed anchor g may leave the ball when eps > 0. The
+    merged means are rotated once into the frame of the unphased FFT, where P_C works; the
+    data fit of the result is measured with the phased ``dft2_forward`` instead.
     """
     opts = opts or SolverOptions()
     y = np.asarray(y, dtype=np.complex128).ravel()
@@ -202,15 +205,16 @@ def _solve(y, plan, opts, k1, k1t, lip):
     radius_distinct = np.sqrt(max(radius**2 - spread, 0.0))
     ybar_u = ybar * sampled_phase(n, lin).conj()  # the means in the fft2_unphased frame
 
-    g, t_ball, newton_steps = _project_ball(np.zeros((n, n), dtype=np.complex128), lin, w,
-                                            ybar_u, radius_distinct, 0.0)
-    q = np.zeros_like(k1(g))
-    g_ref, q_ref = g.copy(), q.copy()  # the iterates at the last weight update
-    # the work arrays, made once per solve: primal step, then 2*gt - g, then gt - g (g_tmp),
-    # projection; dual step, its move qt - q, and its modulus
-    g_tmp, gt = np.empty_like(g), np.empty_like(g)
-    qt, q_diff = np.empty_like(q), np.empty_like(q)
-    mag = np.empty(q.shape)
+    qshape = k1(np.zeros((n, n), dtype=np.complex128)).shape  # (2, n, n) TV, (n*n,) Haar
+    # made once per solve, image plane first: the state z = (g, q), the trial point zt = (gt, qt),
+    # the move dz = zt - z and z_ref, the state at the last weight update
+    z = np.zeros((1 + math.prod(qshape) // n**2, n, n), dtype=np.complex128)
+    zt, dz = np.zeros_like(z), np.empty_like(z)
+    (g, q), (gt, qt) = ((a[0], a[1:].reshape(qshape)) for a in (z, zt))
+    step = dz[0]  # the primal step, then 2*gt - g, until the move overwrites it
+    mag = np.empty(qshape)  # the dual step's modulus
+    t_ball, newton_steps = _project_ball(gt, lin, w, ybar_u, radius_distinct, 0.0, g)  # P_C(0)
+    z_ref = z.copy()
 
     weight = opts.step_balance
     updates = 0
@@ -218,38 +222,33 @@ def _solve(y, plan, opts, k1, k1t, lip):
     obj_prev = rel_change = np.inf  # no stop before two checks have been compared
     for it in range(1, opts.max_iters + 1):
         tau, sigma = 1.0 / (weight * lip), weight / lip
-        np.multiply(tau, k1t(q, out=g_tmp), out=g_tmp)
-        np.subtract(g, g_tmp, out=g_tmp)  # g - tau*k1t(q)
-        step, t_ball, evals = _project_ball(g_tmp, lin, w, ybar_u, radius_distinct, t_ball, gt)
-        if step is g_tmp:  # the step was inside the ball: it is gt, and gt's buffer is free
-            g_tmp, gt = gt, g_tmp
+        np.multiply(tau, k1t(q, out=step), out=step)
+        np.subtract(g, step, out=step)  # g - tau*k1t(q)
+        t_ball, evals = _project_ball(step, lin, w, ybar_u, radius_distinct, t_ball, gt)
         newton_steps += evals
-        np.multiply(2, gt, out=g_tmp)
-        np.subtract(g_tmp, g, out=g_tmp)  # 2*gt - g
-        np.multiply(sigma, k1(g_tmp, out=qt), out=qt)
+        np.multiply(2, gt, out=step)
+        np.subtract(step, g, out=step)  # 2*gt - g
+        np.multiply(sigma, k1(step, out=qt), out=qt)
         np.add(q, qt, out=qt)  # q + sigma*k1(2*gt - g)
         # clipped by a real scale: cheaper than complex division
         np.abs(qt, out=mag)
         np.maximum(1.0, mag, out=mag)
         np.divide(1.0, mag, out=mag)
         qt *= mag
-        np.subtract(gt, g, out=g_tmp)
-        np.subtract(qt, q, out=q_diff)
+        np.subtract(zt, z, out=dz)
         check = it % _CHECK_EVERY == 0
         if it == start or check:
-            r = np.sqrt(weight * norm(g_tmp) ** 2 + norm(q_diff) ** 2 / weight)
+            r = np.sqrt(weight * norm(dz[0]) ** 2 + norm(dz[1:]) ** 2 / weight)
             if it == start:
                 r0 = r
             elif r <= _RESTART_SUFFICIENT * r0 or it - start + 1 >= _RESTART_ARTIFICIAL * it:
-                dg, dq = norm(gt - g_ref), norm(qt - q_ref)
+                dg, dq = norm(zt[0] - z_ref[0]), norm(zt[1:] - z_ref[1:])
                 if dg > 0 and dq > 0:
                     weight = np.sqrt(weight * dq / dg)  # 1/2-log smoothing of dq/dg
-                np.copyto(g_ref, gt)
-                np.copyto(q_ref, qt)
+                np.copyto(z_ref, zt)
                 updates += 1
                 start = it + 1
-        q += np.multiply(_RELAX, q_diff, out=q_diff)
-        g += np.multiply(_RELAX, g_tmp, out=g_tmp)
+        z += np.multiply(_RELAX, dz, out=dz)
         if check:
             obj = lp_norm(k1(gt, out=qt), 1)
             rel_change = abs(obj - obj_prev) / max(abs(obj), 1e-30)

@@ -208,7 +208,7 @@ def test_kappa_cap_boundary():
     assert val == pytest.approx(18 * np.pi / 57) and val < 1.0
 
 
-@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("n", [8, 64, 128, 256])
 def test_kappa_tables_match_the_scalar_formulas_bit_for_bit(n):
     ks = freq_values(n).tolist()
     scale = 18 * np.pi

@@ -1,6 +1,6 @@
 """Property tests (hypothesis) for the data-ball projection, the duplicate merge,
-the discrete gradient, the lp norms, the transforms, the partial DFT, the closed-form Fourier-Haar
-inner products, the grid CSV writer and PGM round trips."""
+the discrete gradient, the lp norms, the transforms, the isotropy identity, the partial DFT, the
+closed-form Fourier-Haar inner products, the grid CSV writer and PGM round trips."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,7 +16,7 @@ from vdfourier.coherence import (
 )
 from vdfourier.image_core import gradient, gradient_adjoint, lp_norm
 from vdfourier.pgm import read_pgm, write_pgm
-from vdfourier.sampling import SamplingPlan
+from vdfourier.sampling import Density, SamplingPlan
 from vdfourier.solvers import _merge_draws, _project_ball
 from vdfourier.transforms import (
     dft2_forward,
@@ -31,6 +31,7 @@ from vdfourier.transforms import (
     partial_dft_adjoint,
     sampled_phase,
 )
+from vdfourier.verify import isotropy_identity_error
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 NAN = complex(np.nan, np.nan)  # fills an output array that must be written, never read
@@ -68,31 +69,29 @@ def test_project_ball_is_the_warm_startable_projection(p, seed, draws, w_spread,
     def dist(g):
         return np.linalg.norm(np.sqrt(w) * (fft2_unphased(g).ravel()[lin] - ybar))
 
-    r = r_frac * dist(v)
-    results = []
-    # allocating, then in place in one NaN-filled output buffer as the solver loop passes it
-    for buffers in (lambda: (), lambda: (np.full((n, n), NAN),)):
-        def project(x, radius, t):
-            return _project_ball(x, lin, w, ybar, radius, t, *buffers())
+    def project(x, radius, t):  # into a fresh buffer whose NaNs show any entry left unwritten
+        out = np.full((n, n), NAN)
+        root, evals = _project_ball(x, lin, w, ybar, radius, t, out)
+        return out, root, evals
 
-        pv, root, _ = project(v, r, 0.0)
-        for t0 in (1e-3 * root, 10.0 * root, 1e6):
-            warm, _, evals = project(v, r, t0)
-            assert evals < 80
-            assert np.linalg.norm(warm - pv) <= 1e-10 * np.linalg.norm(pv)
-        scale = np.linalg.norm(v) + np.linalg.norm(np.sqrt(w) * ybar)
-        assert dist(pv) <= r + 1e-12 * (r if r > 0 else scale)
-        # optimality: v - Pv is normal to the ball at Pv
-        h, _, _ = project(u, r, 0.0)
-        normal = np.vdot(v - pv, h - pv).real
-        assert normal <= 1e-10 * np.linalg.norm(v) * np.linalg.norm(h)
-        again, _, _ = project(pv, r, root)
-        assert np.linalg.norm(again - pv) <= 1e-12 * scale
-        if r > 0:  # a point strictly inside comes back untouched
-            inside, _, _ = project(v, r / 2, 0.0)
-            assert project(inside, r, 0.0)[0] is inside
-        results.append((pv, root))
-    assert np.array_equal(results[0][0], results[1][0]) and results[0][1] == results[1][1]
+    r = r_frac * dist(v)
+    pv, root, _ = project(v, r, 0.0)
+    for t0 in (1e-3 * root, 10.0 * root, 1e6):
+        warm, _, evals = project(v, r, t0)
+        assert evals < 80
+        assert np.linalg.norm(warm - pv) <= 1e-10 * np.linalg.norm(pv)
+    scale = np.linalg.norm(v) + np.linalg.norm(np.sqrt(w) * ybar)
+    assert dist(pv) <= r + 1e-12 * (r if r > 0 else scale)
+    # optimality: v - Pv is normal to the ball at Pv
+    h, _, _ = project(u, r, 0.0)
+    normal = np.vdot(v - pv, h - pv).real
+    assert normal <= 1e-10 * np.linalg.norm(v) * np.linalg.norm(h)
+    again, _, _ = project(pv, r, root)
+    assert np.linalg.norm(again - pv) <= 1e-12 * scale
+    if r > 0:  # a point strictly inside comes back bit for bit, with no Newton step
+        inside, _, _ = project(v, r / 2, 0.0)
+        copy, _, evals = project(inside, r, 0.0)
+        assert copy.tobytes() == inside.tobytes() and evals == 0
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +151,19 @@ def test_haar_forward_matches_matrix_and_is_unitary(p, seed):
     np.testing.assert_allclose(haar_inverse(coef), f, atol=1e-12)
     assert abs(np.vdot(coef, w) - np.vdot(f, haar_inverse(w))) <= 1e-12 * n * n
 
+
+
+# ---------------------------------------------------------------------------
+# isotropy identity
+
+@PROPERTY
+@given(p=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_isotropy_identity_holds_for_every_positive_density(p, seed):
+    # rho_j = nu_j ** -0.5 preconditions any strictly positive density to the identity,
+    # here with masses spread over twelve decades
+    n = 1 << p
+    mass = 10.0 ** np.random.default_rng(seed).uniform(-6, 6, (n, n))
+    assert isotropy_identity_error(Density(values=mass / mass.sum())) <= 1e-10
 
 # ---------------------------------------------------------------------------
 # operators writing into a given array

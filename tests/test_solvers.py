@@ -332,8 +332,8 @@ def test_newton_steps_counts_prox_work():
 
 @pytest.mark.parametrize("solve", [tv_min_reconstruct, l1_haar_reconstruct])
 def test_zero_image_inside_the_ball_takes_the_inside_branch_throughout(solve):
-    # eps so large that the zero image is feasible: every projection returns its input, and
-    # the loop swaps work arrays each time instead of writing the projection
+    # eps so large that the zero image is feasible: every projection copies its input into
+    # the trial image unchanged and solves for no root
     n = 16
     f = rect_phantom(n, seed=7, side=6)
     plan = draw_plan(density_inverse_square(n), 150, seed=23)
