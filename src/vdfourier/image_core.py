@@ -94,9 +94,7 @@ def hard_threshold(x, s):
         raise ValueError(f"s must be in [0, {flat.size}], got {s}")
     out = np.zeros_like(flat)
     if s > 0:
-        # lexsort: primary key descending magnitude, secondary ascending index
-        order = np.lexsort((np.arange(flat.size), -np.abs(flat)))
-        keep = order[:s]
+        keep = np.argsort(-np.abs(flat), kind="stable")[:s]  # ties keep index order
         out[keep] = flat[keep]
     return out.reshape(x.shape)
 

@@ -40,7 +40,7 @@ _SHEPP_LOGAN_ELLIPSES = [
 def shepp_logan(n):
     """Piecewise-constant head phantom scaled to [0, 1]."""
     x = np.linspace(-1, 1, n)
-    gx, gy = np.meshgrid(x, x, indexing="ij")
+    gx, gy = x[:, None], x[None, :]
     f = np.zeros((n, n))
     for x0, y0, a, b, ang, val in _SHEPP_LOGAN_ELLIPSES:
         th = np.radians(ang)
@@ -48,6 +48,8 @@ def shepp_logan(n):
         v = (gy - y0) * np.cos(th) - (gx - x0) * np.sin(th)
         f[(u / a) ** 2 + (v / b) ** 2 <= 1.0] += val
     lo, hi = f.min(), f.max()
+    if lo == hi:
+        raise ValueError(f"n = {n} too small for the head phantom: no pixel centre lies inside it")
     return (f - lo) / (hi - lo)
 
 
@@ -59,7 +61,7 @@ def compressible_scene(n):
     leaning sampling densities from uniform sampling.
     """
     x = np.linspace(-1, 1, n)
-    gx, gy = np.meshgrid(x, x, indexing="ij")
+    gx, gy = x[:, None], x[None, :]
     f = np.exp(-((gx + 0.3) ** 2 + (gy + 0.2) ** 2) / 0.08)
     f += 0.8 * np.exp(-((gx - 0.35) ** 2 + (gy - 0.3) ** 2) / 0.02)
     f += 0.5 * (np.hypot(gx, gy) < 0.6)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image_core import side_exponent
-from .transforms import _capped_inverse, freq_grids, freq_to_index, freq_values
+from .transforms import _capped_inverse, freq_to_index, freq_values
 
 __all__ = [
     "Density",
@@ -120,8 +120,8 @@ def density_uniform(n):
 
 def density_inverse_square(n):
     """Density proportional to min(1, 1/(k1^2 + k2^2)); the cap binds only at radius <= 1."""
-    k1, k2 = freq_grids(n)
-    return _normalized(_capped_inverse(1.0, k1.astype(float) ** 2 + k2.astype(float) ** 2))
+    k = freq_values(n).astype(float)
+    return _normalized(_capped_inverse(1.0, k[:, None] ** 2 + k[None, :] ** 2))
 
 
 def density_power_law(n, alpha):
@@ -136,15 +136,14 @@ def density_power_law(n, alpha):
     if math.isinf(alpha):
         raise ValueError("alpha = inf is a point mass; use "
                          "deterministic_mask(n, 'lowest_frequencies', m=...)")
-    k1, k2 = freq_grids(n)
-    mass = (k1.astype(float) ** 2 + k2.astype(float) ** 2 + 1.0) ** (-alpha / 2)
-    return _normalized(mass)
+    k = freq_values(n).astype(float)
+    return _normalized((k[:, None] ** 2 + k[None, :] ** 2 + 1.0) ** (-alpha / 2))
 
 
 def density_inverse_max(n):
     """Density proportional to min(1, 1/max(|k1|, |k2|))."""
-    k1, k2 = freq_grids(n)
-    return _normalized(_capped_inverse(1.0, np.maximum(np.abs(k1), np.abs(k2))))
+    k = np.abs(freq_values(n))
+    return _normalized(_capped_inverse(1.0, np.maximum(k[:, None], k[None, :])))
 
 
 def density_from_kappa(kappa_table):
@@ -178,33 +177,26 @@ def draw_plan(density, m, seed):
 
 
 def _lowest_frequencies(n, m):
-    k1, k2 = freq_grids(n)
-    k1 = k1.ravel()
-    k2 = k2.ravel()
+    ks = freq_values(n)
+    k1, k2 = np.repeat(ks, n), np.tile(ks, n)  # the grid in storage order
     r2 = k1.astype(float) ** 2 + k2**2
     ang = np.mod(np.arctan2(k2, k1), 2 * np.pi)
-    order = np.lexsort((np.arange(n * n), ang, r2))
-    sel = order[:m]
+    sel = np.lexsort((ang, r2))[:m]  # stable: full ties keep storage order
     return np.stack([k1[sel], k2[sel]], axis=1)
 
 
 def _radial_lines(n, lines):
     lo, hi = -n // 2 + 1, n // 2
-    pts = set()
+    ks = np.arange(lo, hi + 1)
+    pts = []
     for i in range(lines):
         theta = np.pi * i / lines
         c, s = np.cos(theta), np.sin(theta)
-        if abs(c) >= abs(s):
-            for k1 in range(lo, hi + 1):
-                k2 = int(round(k1 * s / c))
-                if lo <= k2 <= hi:
-                    pts.add((k1, k2))
-        else:
-            for k2 in range(lo, hi + 1):
-                k1 = int(round(k2 * c / s))
-                if lo <= k1 <= hi:
-                    pts.add((k1, k2))
-    return np.array(sorted(pts), dtype=int)
+        # step along the axis the line is closer to, rounding the other coordinate
+        line = (ks, np.rint(ks * s / c)) if abs(c) >= abs(s) else (np.rint(ks * c / s), ks)
+        pts.append(np.stack(line, axis=1).astype(int))
+    pts = np.concatenate(pts)
+    return np.unique(pts[((pts >= lo) & (pts <= hi)).all(axis=1)], axis=0)
 
 
 def deterministic_mask(n, variant, m=None, lines=None):

@@ -25,7 +25,6 @@ from .image_core import as_image, side_exponent
 
 __all__ = [
     "freq_values",
-    "freq_grids",
     "freq_to_index",
     "haar_atom_1d",
     "haar_forward",
@@ -48,12 +47,6 @@ def freq_values(n):
     side_exponent(n)
     k = np.arange(n)
     return np.where(k <= n // 2, k, k - n)
-
-
-def freq_grids(n):
-    """Meshgrid pair (k1, k2) over the stored n x n frequency layout."""
-    ks = freq_values(n)
-    return np.meshgrid(ks, ks, indexing="ij")
 
 
 def _capped_inverse(scale, x):
@@ -208,6 +201,8 @@ def fft2_unphased(f, out=None):
 
 def ifft2_unphased(spec, out=None):
     """Inverse (= adjoint) of :func:`fft2_unphased`, equal to ``np.fft.ifft2``; same ``out``."""
+    # two explicit 1-D passes, not np.fft.ifft2: numpy 2.4's ifft2 calls _raw_fftnd(..., out=None),
+    # so it ignores ``out`` (fft2 honours it)
     out = np.fft.ifft(spec, axis=-1, norm="ortho", out=out)
     return np.fft.ifft(out, axis=-2, norm="ortho", out=out)
 

@@ -49,6 +49,16 @@ def test_cmd_coherence_outputs(tmp_path):
     assert len(rows) == 32 * 32
 
 
+def test_cmd_coherence_n256_reports_the_kappa_prime_l2_row(tmp_path):
+    # the row exists from p = 8 on, and it fails there: criterion 2's gap in the paper's constant
+    out = tmp_path / "coh256"
+    assert main(["coherence", "--n", "256", "--out", str(out)]) == 0
+    row = json.loads((out / "report.json").read_text())["checks"][-1]
+    assert row["claim"] == "kappa_prime l2 <= 52 sqrt(p)"
+    assert row["bound"] == 52 * np.sqrt(8)
+    assert row["measured"] == kappa_l2(256, "kappa_prime") and row["pass"] is False
+
+
 def test_cmd_coherence_rejects_bad_n(tmp_path):
     assert main(["coherence", "--n", "3", "--out", str(tmp_path / "x")]) == 2
 
@@ -514,8 +524,10 @@ def test_cmd_reconstruct_and_sweep_reject_truncated_pgm_header(tmp_path, data):
 
 
 @pytest.mark.parametrize("data", [b"P2\n2 2\n255\n0 0 -1 0\n", b"P2\n2 2\n255\n0 0 0 4294967296\n",
-                                  b"P5\n-2 -2\n255\n" + bytes(4)],
-                         ids=["negative-pixel", "pixel-past-uint32", "negative-size"])
+                                  b"P5\n-2 -2\n255\n" + bytes(4), b"P2\n2 2\n0\n0 0 0 0\n",
+                                  b"P5\n2 2\n65536\n" + bytes(8), b"P2\n2 2\n255\n0 0 0\n"],
+                         ids=["negative-pixel", "pixel-past-uint32", "negative-size", "zero-maxval",
+                              "maxval-past-16-bit", "truncated-p2-raster"])
 def test_cmd_reconstruct_and_sweep_reject_bad_pgm_values(tmp_path, data, capsys):
     assert_image_rejected_before_out(tmp_path, data)
     err = capsys.readouterr().err

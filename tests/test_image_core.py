@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vdfourier.image_core import (
+    as_image,
     best_s_term_error,
     gradient,
     gradient_adjoint,
@@ -25,6 +26,12 @@ def gradient_oracle(f):
         for t2 in range(n - 1):
             dy[t1, t2] = f[t1, t2 + 1] - f[t1, t2]
     return dx, dy
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (4,), (2, 2, 2)])
+def test_as_image_rejects_a_non_square_array(shape):
+    with pytest.raises(ValueError, match=rf"image must be square, got shape \({shape[0]},"):
+        as_image(np.zeros(shape))
 
 
 def test_gradient_constant_image():

@@ -124,6 +124,8 @@ def test_inverse_square_vs_power2_ratio_bracket():
 
 
 def test_density_validation():
+    with pytest.raises(ValueError, match=r"density grid must be square, got shape \(4, 8\)"):
+        Density(values=np.full((4, 8), 1 / 32))
     with pytest.raises(ValueError):
         Density(values=np.full((8, 8), 2.0 / 64))
     with pytest.raises(ValueError):
@@ -248,6 +250,13 @@ def test_plan_rejects_bad_rho(bad):
     rho[1] = bad
     with pytest.raises(ValueError, match="finite and positive"):
         SamplingPlan(n=8, freqs=np.array([[0, 0], [1, 2], [-3, 4]]), rho=rho)
+
+
+def test_plan_rejects_a_bad_freqs_shape_or_rho_length():
+    with pytest.raises(ValueError, match=r"freqs must be an \(m, 2\) array"):
+        SamplingPlan(n=8, freqs=np.zeros((3, 3), dtype=int), rho=np.ones(3))
+    with pytest.raises(ValueError, match="rho length must match"):
+        SamplingPlan(n=8, freqs=np.zeros((3, 2), dtype=int), rho=np.ones(2))
 
 
 def test_mask_variant_errors():

@@ -85,6 +85,12 @@ def test_rip_monte_carlo_lower_bound_and_reproducible():
     assert rip_monte_carlo(q, 3, trials=20, seed=6).delta <= 1e-12
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_rip_monte_carlo_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        rip_monte_carlo(np.eye(4), 2, trials=trials)
+
+
 @pytest.mark.parametrize("estimate", [rip_exact, lambda a, s: rip_monte_carlo(a, s, trials=5)],
                          ids=["exact", "monte_carlo"])
 @pytest.mark.parametrize("s", [0, -1, 5])
