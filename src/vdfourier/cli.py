@@ -1,6 +1,6 @@
 """Command-line front end: coherence tables, masks, reconstructions, sweeps.
 
-Commands emit tidy CSV/JSON artifacts plus a ``manifest.json`` holding the
+Commands emit tidy CSV/JSON artifacts; each run starts by writing ``manifest.json``: the
 command, the package version, the image side n and every parsed flag under
 ``"args"`` (seeds included). Running ``main`` on those flags again, with a new
 ``--out``, rewrites every other artifact byte for byte. Plotting is left to
@@ -18,7 +18,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -97,17 +96,14 @@ def _write_grid_csv(path, header, labels, *values):
             fh.write("\r\n".join(map(",".join, cells)) + "\r\n")
 
 
-def _make_out(path):
-    out = Path(path)
+def _start_run(args, n):
+    """Make ``--out``, the returned directory, and write the run's record ``manifest.json``."""
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out, args, n):
-    """The run's record: every parsed flag, so ``main`` on them reproduces the run."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     _write_json(out / "manifest.json",
                 {"command": args.command, "version": __version__, "n": n, "args": flags})
+    return out
 
 
 def _check_row(claim, bound, measured, ok, **where):
@@ -161,8 +157,8 @@ def _check_n(n, limit=256):
 
 def cmd_coherence(args):
     p = _check_n(args.n)
-    out = _make_out(args.out)
     n = args.n
+    out = _start_run(args, n)
 
     mu = local_coherence_exact(n)
     kap = kappa_table(n)
@@ -187,7 +183,6 @@ def cmd_coherence(args):
         checks.append(_check_row("kappa_prime l2 <= 52 sqrt(p)", bound, l2kp, l2kp <= bound))
     _write_json(out / "report.json",
                 {"n": n, "kappa_l2": l2k, "kappa_prime_l2": l2kp, "checks": checks})
-    _write_manifest(out, args, n)
     return EXIT_OK
 
 
@@ -197,10 +192,9 @@ def cmd_coherence(args):
 def cmd_sample(args):
     _check_n(args.n)
     plan = _build_plan(args.n, args.density, args.m, args.seed)
-    out = _make_out(args.out)
+    out = _start_run(args, args.n)
     plan.to_csv(out / "plan.csv")
     write_pgm(out / "mask.pgm", np.fft.fftshift(plan.mask()))
-    _write_manifest(out, args, args.n)
     print(f"wrote plan with m={plan.m} ({plan.m - np.unique(plan.lin).size} duplicate draws)")
     return EXIT_OK
 
@@ -234,7 +228,7 @@ def cmd_reconstruct(args):
     plan = (SamplingPlan.from_csv(args.plan, n) if args.plan is not None
             else _build_plan(n, args.density, args.m, args.seed))
     opts = _solver_options(args, args.eps)
-    out = _make_out(args.out)
+    out = _start_run(args, n)
     recon, report, err = _reconstruct_once(f, plan, args.solver, opts,
                                            args.seed + NOISE_SEED_OFFSET)
 
@@ -245,7 +239,6 @@ def cmd_reconstruct(args):
     _write_csv(out / "error.csv", ["quantity", "value"], [["relative_l2_error", repr(err)]])
     _write_json(out / "report.json", asdict(report))
     plan.to_csv(out / "plan.csv")
-    _write_manifest(out, args, n)
     print(f"relative l2 error: {err:.6g} (converged={report.converged}, "
           f"iterations={report.iterations})")
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
@@ -282,7 +275,7 @@ def cmd_sweep(args):
             raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if args.m > f.size:
         raise ValueError(f"--m must be <= n^2 = {f.size}, got {args.m}")
-    out = _make_out(args.out)
+    out = _start_run(args, f.shape[0])
 
     tasks = []
     for alpha in alphas:
@@ -292,13 +285,13 @@ def cmd_sweep(args):
                               args.solver))
 
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: its import slows every command
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_cell, tasks))
     else:
         rows = [_sweep_cell(t) for t in tasks]
 
     _write_csv(out / "sweep.csv", SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
-    _write_manifest(out, args, f.shape[0])
     bad = sum(r["status"] != "ok" for r in rows)
     print(f"sweep finished: {len(rows)} cells, {bad} failed")
     return EXIT_SWEEP_FAILED if bad == len(rows) else EXIT_OK
@@ -310,7 +303,7 @@ def cmd_sweep(args):
 def cmd_verify(args):
     n_list = [int(v) for v in args.n_list.split(",")]
     p_list = [_check_n(n, limit=64) for n in n_list]
-    out = _make_out(args.out)
+    out = _start_run(args, max(n_list))
 
     results = []
     for n, p in zip(n_list, p_list):
@@ -337,7 +330,6 @@ def cmd_verify(args):
 
     all_pass = all(r["pass"] for r in results)
     _write_json(out / "verify.json", {"all_pass": all_pass, "results": results})
-    _write_manifest(out, args, max(n_list))
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 

@@ -59,11 +59,13 @@ def read_pgm(path):
 
 
 def write_pgm(path, pixels, maxval=255):
-    """Write float pixels in [0, 1] as a binary P5 file at the given depth."""
+    """Write finite 2-D float pixels in [0, 1] (clipped) as a binary P5 file at the given depth."""
     if not 0 < maxval < 65536:
         raise ValueError(f"invalid maxval {maxval}")
-    arr = np.clip(np.asarray(pixels, dtype=float), 0.0, 1.0)
-    quant = np.rint(arr * maxval).astype(np.dtype(">u2") if maxval > 255 else np.dtype("u1"))
+    arr = np.asarray(pixels, dtype=float)
+    if arr.ndim != 2 or not np.isfinite(arr).all():
+        raise ValueError(f"PGM pixels must be a finite 2-D array, got shape {arr.shape}")
+    quant = np.rint(arr.clip(0.0, 1.0) * maxval).astype(">u2" if maxval > 255 else "u1")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)

@@ -40,6 +40,7 @@ from numpy.linalg import norm
 
 from .image_core import gradient, gradient_adjoint, lp_norm
 from .transforms import (
+    _measurements,
     dft2_forward,
     fft2_unphased,
     haar_forward,
@@ -186,11 +187,7 @@ def _solve(y, plan, opts, k1, k1t, lip):
     data fit of the result is measured with the phased ``dft2_forward`` instead.
     """
     opts = opts or SolverOptions()
-    y = np.asarray(y, dtype=np.complex128).ravel()
-    if y.size != plan.m:
-        raise ValueError(f"measurement length {y.size} != plan.m = {plan.m}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("measurements contain non-finite values")
+    y = _measurements(y, plan)
     n = plan.n
     radius = opts.epsilon * np.sqrt(plan.m)
     viol_tol = opts.dual_tol * np.sqrt(plan.m) * max(opts.epsilon, 1.0)
@@ -285,20 +282,15 @@ def l1_haar_reconstruct(y, plan, opts=None):
     return _solve(y, plan, opts, haar_forward, haar_inverse, 1.0)  # Haar is unitary
 
 
-def add_noise(clean, plan, eps, model="weighted", seed=0):
+def add_noise(clean, plan, eps, model=SolverOptions.noise_model, seed=0):
     """Corrupt measurements with complex Gaussian noise of exact level eps.
 
-    The noise vector is rescaled so that ||rho o xi||_2 (weighted model) or
-    ||xi||_2 (unweighted model) equals eps * sqrt(m) exactly; eps = 0
-    returns the input unchanged.
+    The noise vector is rescaled so that ||rho o xi||_2 (weighted model) or ||xi||_2 (unweighted,
+    the default ``SolverOptions.noise_model``) equals eps * sqrt(m) exactly; eps = 0 returns the
+    input unchanged. ``SolverOptions`` checks ``model`` and ``eps``; ``clean`` is m finite values.
     """
-    if model not in ("weighted", "unweighted"):
-        raise ValueError(f"model must be weighted|unweighted, got {model!r}")
-    if not np.isfinite(eps) or eps < 0:
-        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
-    clean = np.asarray(clean, dtype=np.complex128).ravel()
-    if clean.size != plan.m:
-        raise ValueError(f"measurement length {clean.size} != plan.m = {plan.m}")
+    SolverOptions(noise_model=model, epsilon=eps)
+    clean = _measurements(clean, plan)
     if eps == 0:
         return clean.copy()
     rng = np.random.default_rng(seed)

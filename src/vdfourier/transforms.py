@@ -229,11 +229,20 @@ def partial_dft(f, plan):
     return dft2_forward(f).ravel()[plan.lin]
 
 
-def partial_dft_adjoint(y, plan):
-    """Adjoint of :func:`partial_dft`; duplicate frequencies accumulate."""
+def _measurements(y, plan):
+    """``y`` as a flat complex128 vector of the plan's m measurements; rejects a wrong length
+    or a non-finite entry."""
     y = np.asarray(y, dtype=np.complex128).ravel()
     if y.size != plan.m:
         raise ValueError(f"measurement length {y.size} != plan.m = {plan.m}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurements contain non-finite values")
+    return y
+
+
+def partial_dft_adjoint(y, plan):
+    """Adjoint of :func:`partial_dft`; duplicate frequencies accumulate."""
+    y = _measurements(y, plan)
     n, lin = plan.n, plan.lin
     spec = np.bincount(lin, weights=y.real, minlength=n * n) + 1j * np.bincount(
         lin, weights=y.imag, minlength=n * n

@@ -387,6 +387,9 @@ def test_manifest_args_replay_every_artifact(tmp_path):
                     "--solver", "haar", "--max-iters", "300"],
         "sweep": ["sweep", "--image", str(img_path), "--alphas", "0,inf", "--eps-list", "0,0.1",
                   "--m", "60", "--seed", "2", "--max-iters", "200"],
+        "coherence": ["coherence", "--n", "8"],
+        "sample": ["sample", "--n", "16", "--density", "inv-square", "--m", "60"],
+        "verify": ["verify", "--n-list", "2,4"],
     }
     for name, argv in runs.items():
         first, again = tmp_path / name, tmp_path / f"{name}-again"

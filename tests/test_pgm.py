@@ -87,3 +87,12 @@ def test_read_names_a_size_that_is_not_positive(tmp_path, size, magic, raster):
 def test_write_rejects_bad_maxval(tmp_path):
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "g.pgm", np.zeros((2, 2)), maxval=70000)
+
+
+@pytest.mark.parametrize("pixels", [np.array([[0.5, np.nan], [0.0, 1.0]]), np.zeros((2, 2, 2)),
+                                    np.zeros(4)], ids=["nan-pixel", "3-d", "1-d"])
+def test_write_rejects_pixels_it_cannot_write(tmp_path, pixels):
+    path = tmp_path / "w.pgm"
+    with pytest.raises(ValueError, match="finite 2-D array"):
+        write_pgm(path, pixels)
+    assert not path.exists()

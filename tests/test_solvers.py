@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,13 @@ from vdfourier.solvers import (
     l1_haar_reconstruct,
     tv_min_reconstruct,
 )
-from vdfourier.transforms import dft2_forward, fft2_unphased, haar_forward, partial_dft
+from vdfourier.transforms import (
+    dft2_forward,
+    fft2_unphased,
+    haar_forward,
+    partial_dft,
+    partial_dft_adjoint,
+)
 
 FAST = SolverOptions(max_iters=6000)
 # tight enough that a converged run sits within ~1e-6 of the optimal objective
@@ -125,6 +133,13 @@ def test_add_noise_rejects_negative_or_nonfinite_eps(eps):
         add_noise(np.zeros(20, dtype=complex), plan, eps)
 
 
+def test_add_noise_defaults_to_the_solver_noise_model():
+    plan = draw_plan(density_inverse_square(8), 20, seed=1)
+    clean = np.ones(20, dtype=complex)
+    assert np.array_equal(add_noise(clean, plan, 0.2, seed=7),
+                          add_noise(clean, plan, 0.2, model="unweighted", seed=7))
+
+
 def test_add_noise_seed_reproducible():
     plan = draw_plan(density_inverse_square(8), 20, seed=1)
     clean = np.ones(20, dtype=complex)
@@ -184,6 +199,7 @@ def test_error_bound_envelope_gradient_compressible():
 # ---------------------------------------------------------------------------
 # adaptive primal weight
 
+@functools.cache  # the scale-free and the ceiling test share the solves at scale 1
 def _criterion_8_solves(scale):
     """Criterion 8's fixture (noise seed 1, the perfbench tv-weighted-n32 set-up) with the
     image, the data and eps all multiplied by ``scale``; one report per eps."""
@@ -200,7 +216,7 @@ def _criterion_8_solves(scale):
         assert report.converged
         assert relative_error(g, scale * f) <= 0.3 * eps
         reports.append(report)
-    return reports
+    return tuple(reports)
 
 
 def test_primal_weight_makes_iterations_scale_free():
@@ -399,6 +415,19 @@ def test_add_noise_rejects_a_bad_model_or_length():
         add_noise(np.zeros(30, dtype=complex), plan, 0.1, model="other")
     with pytest.raises(ValueError, match="measurement length 29 != plan.m = 30"):
         add_noise(np.zeros(29, dtype=complex), plan, 0.1)
+
+
+@pytest.mark.parametrize("consume", [lambda y, plan: add_noise(y, plan, 0.1),
+                                     partial_dft_adjoint, tv_min_reconstruct],
+                         ids=["add_noise", "partial_dft_adjoint", "tv_min_reconstruct"])
+def test_every_consumer_checks_a_measurement_vector_alike(consume):
+    plan = draw_plan(density_inverse_square(8), 30, seed=8)
+    with pytest.raises(ValueError, match="measurement length 29 != plan.m = 30"):
+        consume(np.zeros(29, dtype=complex), plan)
+    y = np.zeros(30, dtype=complex)
+    y[4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        consume(y, plan)
 
 
 def test_solver_rejects_length_mismatch():

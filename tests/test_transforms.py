@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import haar_atom_2d, haar_indices
+from conftest import full_grid_plan, haar_atom_2d, haar_indices
 from vdfourier.sampling import SamplingPlan, density_uniform, draw_plan
 from vdfourier.transforms import (
     dft2_forward,
@@ -30,12 +30,6 @@ def dft2_oracle(f):
                     acc += f[a, b] * np.exp(-2j * np.pi * ((a + 1) * k1 + (b + 1) * k2) / n)
             out[i1, i2] = acc / n
     return out
-
-
-def full_grid_plan(n):
-    ks = freq_values(n)
-    freqs = np.stack(np.meshgrid(ks, ks, indexing="ij"), axis=-1).reshape(-1, 2)
-    return SamplingPlan(n=n, freqs=freqs, rho=np.ones(n * n))
 
 
 # ---------------------------------------------------------------------------
