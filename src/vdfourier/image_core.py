@@ -2,8 +2,8 @@
 
 Images are square complex arrays of side ``n = 2**p`` with row index ``t1``
 (axis 0) and column index ``t2`` (axis 1). Real input is promoted to complex
-with zero imaginary part. :func:`side_exponent` is the one check of that side
-rule, for images, densities, plans and the Haar system alike.
+with zero imaginary part; complex64 stays complex64 (:func:`as_complex`). :func:`side_exponent`
+is the one check of that side rule, for images, densities, plans and the Haar system alike.
 """
 
 import numpy as np
@@ -26,13 +26,19 @@ def side_exponent(n):
     return int(n).bit_length() - 1
 
 
+def as_complex(x):
+    """``x`` as complex64 if it is complex64, else as complex128; no copy if it already is."""
+    x = np.asarray(x)
+    return x.astype(np.complex64 if x.dtype == np.complex64 else np.complex128, copy=False)
+
+
 def as_image(pixels):
-    """Validate and return an image as a square complex128 array of side ``2**p``, p >= 1."""
-    f = np.asarray(pixels)
+    """Validate an image and return it as a square :func:`as_complex` array of side ``2**p``."""
+    f = as_complex(pixels)
     if f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise ValueError(f"image must be square, got shape {f.shape}")
     side_exponent(f.shape[0])
-    return f.astype(np.complex128, copy=False)
+    return f
 
 
 def gradient(f, out=None):
@@ -41,11 +47,11 @@ def gradient(f, out=None):
     Forward differences with no wraparound, dx[t1, t2] = f[t1+1, t2] - f[t1, t2] and
     dy[t1, t2] = f[t1, t2+1] - f[t1, t2]; the last row of ``dx`` and the last column of ``dy``
     are zero. A constant image maps to zeros, and ||gradient(f)||^2 <= 8 ||f||^2.
-    ``out`` (complex128, (2, n, n)) receives the field when given; its pads are zeroed.
+    ``out`` ((2, n, n), of the image's dtype) receives the field when given; its pads are zeroed.
     """
     f = as_image(f)
     n = f.shape[0]
-    d = np.empty((2, n, n), dtype=np.complex128) if out is None else out
+    d = np.empty((2, n, n), dtype=f.dtype) if out is None else out
     np.subtract(f[1:], f[:-1], out=d[0, :-1])
     np.subtract(f[:, 1:], f[:, :-1], out=d[1, :, :-1])
     d[0, -1] = 0
@@ -55,14 +61,24 @@ def gradient(f, out=None):
 
 def gradient_adjoint(d, out=None):
     """Adjoint of :func:`gradient` on all of C^(2 x n x n): the pad entries are ignored.
-    ``out`` (complex128, n x n) receives the image when given."""
-    dx, dy = d[0, :-1], d[1, :, :-1]
-    out = np.empty(d.shape[1:], dtype=np.complex128) if out is None else out
-    out.fill(0)
-    out[:-1, :] -= dx
-    out[1:, :] += dx
-    out[:, :-1] -= dy
-    out[:, 1:] += dy
+    ``out`` (C-contiguous n x n, of the field's dtype) receives the image when given. The dy
+    terms run over the flat image (faster than 2-D column slices), which adds pads of dy to the
+    first and last columns; those are then redone from their saved dx terms, in the same order.
+    """
+    d = as_complex(d)
+    dx, dy = d[0, :-1], d[1]
+    out = np.empty(d.shape[1:], dtype=d.dtype) if out is None else out
+    if not out.flags.c_contiguous:
+        raise ValueError("gradient_adjoint needs a C-contiguous out")
+    np.subtract(0, dx, out=out[:-1])
+    out[-1] = 0
+    out[1:] += dx
+    ends = out[:, [0, -1]]
+    flat, dy_flat = out.reshape(-1), dy.reshape(-1)
+    flat[:-1] -= dy_flat[:-1]
+    flat[1:] += dy_flat[:-1]
+    np.subtract(ends[:, 0], dy[:, 0], out=out[:, 0])
+    np.add(ends[:, 1], dy[:, -2], out=out[:, -1])
     return out
 
 
@@ -72,14 +88,14 @@ def tv_norm(f):
 
 
 def lp_norm(x, p):
-    """Vector lp norm for p in [1, inf]; p = inf gives the max modulus."""
+    """Vector lp norm for p in [1, inf]; p = inf gives the max modulus. Sums in float64."""
     x = np.asarray(x).ravel()
     if p != np.inf and p < 1:
         raise ValueError(f"lp_norm requires p >= 1 or p = inf, got {p}")
     mags = np.abs(x)
     if p == np.inf:
         return float(mags.max(initial=0.0))
-    return float((mags**p).sum() ** (1.0 / p))
+    return float((mags**p).sum(dtype=np.float64) ** (1.0 / p))
 
 
 def hard_threshold(x, s):

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .image_core import as_image, side_exponent
+from .image_core import as_complex, as_image, side_exponent
 
 __all__ = [
     "freq_values",
@@ -124,12 +124,12 @@ def haar_forward(f, out=None):
     the dense matrix product with :func:`haar_matrix` rows. Each level forms
     row-pair sums and differences, then column-pair sums and differences of
     those (8 adds per 2x2 block); temporaries stay a quarter of the level.
-    ``out`` (complex128, n*n entries) receives the coefficients when given.
+    ``out`` (n*n entries, of the image's dtype) receives the coefficients when given.
     """
     f = as_image(f)
     n = f.shape[0]
     p = side_exponent(n)
-    w = np.empty(n * n, dtype=np.complex128) if out is None else out
+    w = np.empty(n * n, dtype=f.dtype) if out is None else out
     cur = f
     for lev in range(p - 1, -1, -1):
         q, m = 4**lev, 1 << lev
@@ -147,9 +147,9 @@ def haar_forward(f, out=None):
 
 
 def haar_inverse(w, out=None):
-    """Inverse of :func:`haar_forward` (the transform is unitary); ``out`` (complex128, n x n)
-    receives the image when given."""
-    w = np.asarray(w, dtype=np.complex128).ravel()
+    """Inverse of :func:`haar_forward` (the transform is unitary); ``out`` (n x n, of the
+    coefficients' dtype) receives the image when given."""
+    w = as_complex(w).ravel()
     n = math.isqrt(w.size)
     if n * n != w.size:
         raise ValueError(f"coefficient vector length {w.size} is not a perfect square")
@@ -162,7 +162,7 @@ def haar_inverse(w, out=None):
         d11 = w[3 * q : 4 * q].reshape(m, m)
         s0, s1, d0, d1 = cur + d01, cur - d01, d10 + d11, d10 - d11
         last = out is not None and lev == p - 1
-        cur = out if last else np.empty((2 * m, 2 * m), dtype=np.complex128)
+        cur = out if last else np.empty((2 * m, 2 * m), dtype=w.dtype)
         top, bot = cur[0::2], cur[1::2]
         np.add(s0, d0, out=top[:, 0::2])
         np.add(s1, d1, out=top[:, 1::2])
@@ -185,7 +185,7 @@ def dft2_forward(f):
 
 def dft2_inverse(spec):
     """Inverse (= adjoint) of :func:`dft2_forward`."""
-    return np.roll(ifft2_unphased(np.asarray(spec, dtype=np.complex128)), -1, axis=(0, 1))
+    return np.roll(ifft2_unphased(as_complex(spec)), -1, axis=(0, 1))
 
 
 def fft2_unphased(f, out=None):
@@ -193,7 +193,7 @@ def fft2_unphased(f, out=None):
 
     At the flat storage positions ``lin`` the two differ by the factor ``sampled_phase(n, lin)``.
     Two in-place 1-D passes, the loop ``np.fft.fft2`` runs, so the result equals it bit for
-    bit; ``out`` (complex, shaped like ``f``) receives it when given.
+    bit, complex64 staying complex64; ``out`` (complex, shaped like ``f``) receives it when given.
     """
     out = np.fft.fft(f, axis=-1, norm="ortho", out=out)
     return np.fft.fft(out, axis=-2, norm="ortho", out=out)

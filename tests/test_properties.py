@@ -14,7 +14,7 @@ from vdfourier.coherence import (
     coherence_tables_1d,
     fourier_haar_inner_1d,
 )
-from vdfourier.image_core import gradient, gradient_adjoint, lp_norm
+from vdfourier.image_core import as_image, gradient, gradient_adjoint, lp_norm
 from vdfourier.pgm import read_pgm, write_pgm
 from vdfourier.sampling import Density, SamplingPlan
 from vdfourier.solvers import _merge_draws, _project_ball
@@ -110,6 +110,28 @@ def test_gradient_adjoint_is_exact_on_the_padded_field(p, seed):
 
 
 @PROPERTY
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.9),
+       dtype=st.sampled_from([np.complex128, np.complex64]))
+def test_gradient_adjoint_is_the_slice_form_bit_for_bit(p, seed, zeros, dtype):
+    # the slice form: zero-fill, then -dx, +dx, -dy, +dy over 2-D slices; signed zeros included
+    n = 1 << p
+    rng = np.random.default_rng(seed)
+    d = random_complex(seed, (2, n, n)).astype(dtype)
+    d.real[rng.random(d.shape) < zeros] = 0.0
+    d.imag[rng.random(d.shape) < zeros] = -0.0
+    dx, dy = d[0, :-1], d[1, :, :-1]
+    want = np.zeros((n, n), dtype=dtype)
+    want[:-1] -= dx
+    want[1:] += dx
+    want[:, :-1] -= dy
+    want[:, 1:] += dy
+    got = gradient_adjoint(d)
+    assert got.dtype == dtype
+    got, want = (a.view(a.real.dtype) for a in (got, want))  # real and imaginary parts
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@PROPERTY
 @given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), mix=st.floats(0.0, 1.0))
 def test_gradient_pads_are_zero_and_norm_is_at_most_sqrt8(p, seed, mix):
     n = 1 << p
@@ -169,21 +191,59 @@ def test_isotropy_identity_holds_for_every_positive_density(p, seed):
 # operators writing into a given array
 
 @PROPERTY
-@given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
-def test_out_receives_the_allocating_result_without_reading_it(p, seed, k):
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+       dtype=st.sampled_from([np.complex128, np.complex64]))
+def test_out_receives_the_allocating_result_without_reading_it(p, seed, k, dtype):
     n = 1 << p
-    f = random_complex(seed, (n, n))
-    stack = random_complex(seed + 1, (k, n, n))  # the atom stacks of the verify layer
+    f = random_complex(seed, (n, n)).astype(dtype)
+    stack = random_complex(seed + 1, (k, n, n)).astype(dtype)  # the verify layer's atom stacks
     cases = [
         (fft2_unphased, f), (fft2_unphased, stack), (ifft2_unphased, f), (ifft2_unphased, stack),
-        (gradient, f), (gradient_adjoint, random_complex(seed + 2, (2, n, n))),
-        (haar_forward, f), (haar_inverse, random_complex(seed + 3, n * n)),
+        (gradient, f), (gradient_adjoint, random_complex(seed + 2, (2, n, n)).astype(dtype)),
+        (haar_forward, f), (haar_inverse, random_complex(seed + 3, n * n).astype(dtype)),
     ]
     for op, x in cases:
         want = op(x)
         out = np.full_like(want, NAN)
         assert op(x, out=out) is out
         assert np.array_equal(out, want), op.__name__
+
+
+@PROPERTY
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_transforms_keep_complex64_and_agree_with_complex128(p, seed):
+    n = 1 << p
+    cases = [
+        (as_image, (n, n)), (fft2_unphased, (n, n)), (ifft2_unphased, (n, n)),
+        (dft2_forward, (n, n)), (dft2_inverse, (n, n)), (gradient, (n, n)),
+        (gradient_adjoint, (2, n, n)), (haar_forward, (n, n)), (haar_inverse, (n * n,)),
+    ]
+    for i, (op, shape) in enumerate(cases):
+        x = random_complex(seed + i, shape)
+        want, got = op(x), op(x.astype(np.complex64))
+        assert (want.dtype, got.dtype) == (np.complex128, np.complex64), op.__name__
+        # float32 rounding of the input and of each of the 2p levels or passes
+        tol = 4 * np.finfo(np.float32).eps * (2 * p + 1) * np.abs(x).max() * np.sqrt(n)
+        assert np.abs(got - want).max() <= tol, op.__name__
+    for real in (np.ones((n, n)), np.ones((n, n), dtype=np.float32)):
+        assert as_image(real).dtype == np.complex128
+
+
+@PROPERTY
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_transforms_equal_their_references_exactly(p, seed):
+    n = 1 << p
+    rng = np.random.default_rng(seed)
+    # small integers: the butterflies add and halve them without rounding in either precision
+    f = rng.integers(-50, 51, (n, n)) + 1j * rng.integers(-50, 51, (n, n))
+    coef = haar_forward(f)
+    assert np.array_equal(haar_forward(f.astype(np.complex64)), coef)
+    assert np.array_equal(haar_inverse(coef.astype(np.complex64)), f)
+    assert np.array_equal(haar_inverse(coef), f)
+    for dtype in (np.complex128, np.complex64):
+        x = random_complex(seed, (n, n)).astype(dtype)
+        assert np.array_equal(fft2_unphased(x), np.fft.fft2(x, norm="ortho"))
+        assert np.array_equal(ifft2_unphased(x), np.fft.ifft2(x, norm="ortho"))
 
 
 # ---------------------------------------------------------------------------

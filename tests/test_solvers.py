@@ -6,8 +6,8 @@ import pytest
 from conftest import full_grid_plan, haar_atom_2d, haar_indices
 from vdfourier import solvers
 from vdfourier.image_core import best_s_term_error, gradient, lp_norm, tv_norm
-from vdfourier.phantoms import rect_phantom
-from vdfourier.sampling import SamplingPlan, density_inverse_square, draw_plan
+from vdfourier.phantoms import compressible_scene, rect_phantom, shepp_logan
+from vdfourier.sampling import SamplingPlan, density_inverse_square, density_power_law, draw_plan
 from vdfourier.solvers import (
     SolverOptions,
     add_noise,
@@ -331,6 +331,69 @@ def test_solver_options_reject_nonfinite_epsilon(eps):
 def test_solver_options_reject_bad_iteration_controls(field, value):
     with pytest.raises(ValueError, match=field):
         SolverOptions(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# precision phases
+
+PRECISION_CASES = {
+    "haar-64": lambda: (l1_haar_reconstruct, compressible_scene(64),
+                        draw_plan(density_power_law(64, 1.0), 410, seed=2), SolverOptions()),
+    "haar-128": lambda: (l1_haar_reconstruct, compressible_scene(128),
+                         draw_plan(density_power_law(128, 1.0), 1638, seed=0), SolverOptions()),
+    "tv-64": lambda: (tv_min_reconstruct, compressible_scene(64),
+                      draw_plan(density_power_law(64, 2.0), 614, seed=4242), SolverOptions()),
+    "tv-64-weighted": lambda: (tv_min_reconstruct, shepp_logan(64),
+                               draw_plan(density_inverse_square(64), 614, seed=7),
+                               SolverOptions(noise_model="weighted", epsilon=0.05)),
+}
+
+
+def _precision_case(name):
+    solve, f, plan, opts = PRECISION_CASES[name]()
+    y = add_noise(partial_dft(f, plan), plan, opts.epsilon, model=opts.noise_model, seed=1)
+    return solve, y, plan, opts
+
+
+@pytest.mark.parametrize("name", PRECISION_CASES)
+def test_complex64_phase_stops_where_the_complex128_run_does(monkeypatch, name):
+    solve, y, plan, opts = _precision_case(name)
+    g, report = solve(y, plan, opts)
+    monkeypatch.setattr(solvers, "_SINGLE_MIN_N", plan.n + 1)
+    _, ref = solve(y, plan, opts)
+    assert ref.single_iterations == 0 < report.single_iterations < report.iterations
+    assert abs(report.iterations - ref.iterations) <= solvers._CHECK_EVERY
+    assert report.objective == pytest.approx(ref.objective, rel=1e-6)
+    assert g.dtype == np.complex128
+    viol_tol = opts.dual_tol * np.sqrt(plan.m) * max(opts.epsilon, 1.0)
+    assert report.converged and report.constraint_violation <= viol_tol
+
+
+@pytest.mark.parametrize("solve", [tv_min_reconstruct, l1_haar_reconstruct])
+def test_small_grids_run_in_complex128_only(monkeypatch, solve):
+    n = 32
+    f = rect_phantom(n, seed=3, side=10)
+    plan = draw_plan(density_inverse_square(n), 410, seed=3)
+    y = add_noise(partial_dft(f, plan), plan, 0.05, model="weighted", seed=1)
+    opts = SolverOptions(noise_model="weighted", epsilon=0.05)
+    g, report = solve(y, plan, opts)
+    monkeypatch.setattr(solvers, "_SINGLE_MIN_N", 10**9)
+    g_off, report_off = solve(y, plan, opts)
+    assert report.single_iterations == 0
+    assert np.array_equal(g, g_off) and report == report_off
+
+
+def test_a_stop_test_passed_in_complex64_only_switches():
+    # the objective-change test at the switch never ends a solve: stopping there, or at a
+    # primal_tol above the switch level, needs two more checks in complex128
+    solve, y, plan, opts = _precision_case("haar-64")
+    switch = solve(y, plan, opts)[1].single_iterations
+    g, cut = solve(y, plan, SolverOptions(max_iters=switch))
+    assert (cut.iterations, cut.single_iterations, cut.converged) == (switch, switch, False)
+    assert g.dtype == np.complex128
+    _, loose = solve(y, plan, SolverOptions(primal_tol=1e-2))
+    assert loose.converged
+    assert loose.iterations >= loose.single_iterations + 2 * solvers._CHECK_EVERY
 
 
 def test_newton_steps_counts_prox_work():
