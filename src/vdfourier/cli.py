@@ -233,9 +233,8 @@ def cmd_reconstruct(args):
                                            args.seed + NOISE_SEED_OFFSET)
 
     write_pgm(out / "recon.pgm", recon.real, maxval=maxval)
-    if np.abs(recon.imag).max() > 1e-6:
-        _write_grid_csv(out / "recon_complex.csv", ["t1", "t2", "real", "imag"],
-                        np.arange(n), recon.real, recon.imag)
+    _write_grid_csv(out / "recon_complex.csv", ["t1", "t2", "real", "imag"],
+                    np.arange(n), recon.real, recon.imag)
     _write_csv(out / "error.csv", ["quantity", "value"], [["relative_l2_error", repr(err)]])
     _write_json(out / "report.json", asdict(report))
     plan.to_csv(out / "plan.csv")

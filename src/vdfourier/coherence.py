@@ -4,7 +4,8 @@ The local coherence map assigns to every frequency the largest inner-product
 magnitude between its Fourier atom and any bivariate Haar atom. Because the
 bases are tensor products sharing the dyadic scale, the map factors through
 1-D inner products whose magnitudes do not depend on the wavelet shift, so
-the exact supremum costs O(n^2 log n) instead of the O(n^6) dense scan.
+the exact supremum costs O(n^2 log n) instead of the O(n^6) dense scan. The tables use only
+the modulus of :func:`fourier_haar_inner_1d`, a conjugated and phase-shifted inner product.
 """
 
 import numpy as np
@@ -38,9 +39,11 @@ def _inner_1d(p, k, e, scale, l):
 
 
 def fourier_haar_inner_1d(p, k, e, n, l):
-    """Inner product of the 1-D Fourier atom phi_k with the Haar block h^e_{n,l}.
+    """sum_{j=0}^{N-1} exp(2j*pi*k*j/N) h(j) / sqrt(N) for the Haar block h = h^e_{n,l}, N = 2**p.
 
-    Evaluated in closed form via the geometric sum
+    Against the ``transforms`` convention <phi_k, h> = sum_{t=1}^{N} conj(phi_k(t)) h(t-1) this
+    is exp(-2j*pi*k/N) * conj(<phi_k, h>): the same modulus, which is all the coherence tables
+    use, but not the inner product itself. Evaluated in closed form via the geometric sum
 
         exp(2j*pi*l*k/2^n) * (1 + (-1)^e * exp(2j*pi*k/2^(n+1)))
             * 2^(n/2 - p) * (1 - exp(2j*pi*k/2^(n+1))) / (1 - exp(2j*pi*k/2^p)),

@@ -32,7 +32,8 @@ and the restart copy are one operation each; every iteration runs in them throug
 and their order of the allocating calls, so the iterates are bit for bit those of the
 allocating form. For n >= 64 they start in complex64 and are copied once to complex128 at the
 first check whose objective change is <= max(1e-4, ``primal_tol``); only complex128 checks
-stop a solve. The draws, the Newton scalar, the objective and the norms stay in float64.
+stop a solve, and every exit returns a complex128 projection (a run capped in complex64 is
+projected once more). The draws, the Newton scalar, the objective and the norms stay in float64.
 """
 
 import math
@@ -65,8 +66,9 @@ _RELAX = 1.8  # over-relaxation of both blocks; converges for (0, 2) at tau*sigm
 # ends of a primal-weight epoch (module docstring)
 _RESTART_SUFFICIENT = 0.2
 _RESTART_ARTIFICIAL = 0.36
-# complex64 from this side up (an iteration 1.07-1.17x cheaper at n = 32, 1.5-1.9x at 64-256)
-# until the objective changes by at most this much: alone it stalls 2e-6-1.2e-5 above optimum
+# complex64 from this side up; n = 32 stays complex128 to keep its stops (with complex64 two of
+# six TV plans at primal_tol 1e-8 moved, 1450 -> 2000 and 3500 -> 2950 iterations), until the
+# objective changes by at most this much: alone it stalls 2e-6-1.2e-5 above optimum
 _SINGLE_MIN_N = 64
 _SINGLE_UNTIL = 1e-4
 
@@ -273,6 +275,10 @@ def _solve(y, plan, opts, k1, k1t, lip):
                 obj_prev = obj
                 if rel_change <= tol:
                     break
+    if single_iterations == it:  # no complex128 iteration ran: project the result in complex128
+        np.copyto(dz[0], gt)
+        t_ball, evals = _project_ball(dz[0], lin, w, ybar_u, radius_distinct, t_ball, gt)
+        newton_steps += evals
 
     fit2 = float(np.sum(w * np.abs(dft2_forward(gt).ravel()[lin] - ybar) ** 2))
     violation = max(0.0, np.sqrt(fit2 + spread) - radius)

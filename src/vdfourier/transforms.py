@@ -117,13 +117,28 @@ def haar_matrix(p):
                            for a, b in _haar_blocks(p)])
 
 
+def _quarters(x):  # the corners of the 2x2 blocks, in the butterfly's order
+    return x[0::2, 0::2], x[1::2, 0::2], x[0::2, 1::2], x[1::2, 1::2]
+
+
+def _haar_butterfly(x0, x1, x2, x3, y0, y1, y2, y3):
+    """Twice the 2x2 block transform: with u, v = x0 +- x1 and s, d = x2 +- x3, writes
+    (u + s, u - s, v + d, v - d) to (y0, y1, y2, y3). Symmetric and orthogonal up to the 2, it is
+    its own inverse: :func:`_quarters` to average and (0,1), (1,0), (1,1) details, and back. All
+    operands are read before the first write, so an output may alias an input."""
+    u, v, s, d = x0 + x1, x0 - x1, x2 + x3, x2 - x3
+    np.add(u, s, out=y0)
+    np.subtract(u, s, out=y1)
+    np.add(v, d, out=y2)
+    np.subtract(v, d, out=y3)
+
+
 def haar_forward(f, out=None):
     """Bivariate Haar transform to the canonical coefficient vector.
 
-    Computed by the recursive 2x2 butterfly scheme in O(n^2 log n); equals
-    the dense matrix product with :func:`haar_matrix` rows. Each level forms
-    row-pair sums and differences, then column-pair sums and differences of
-    those (8 adds per 2x2 block); temporaries stay a quarter of the level.
+    Computed by the recursive 2x2 butterfly scheme in O(n^2 log n); equals the dense matrix
+    product with :func:`haar_matrix` rows. Level q = 4**lev writes half the :func:`_haar_butterfly`
+    of the finer average to ``[0, 4q)``: its average to ``[0, q)``, read by the next level.
     ``out`` (n*n entries, of the image's dtype) receives the coefficients when given.
     """
     f = as_image(f)
@@ -133,22 +148,15 @@ def haar_forward(f, out=None):
     cur = f
     for lev in range(p - 1, -1, -1):
         q, m = 4**lev, 1 << lev
-        top, bot = cur[0::2], cur[1::2]
-        s0, s1 = top[:, 0::2] + bot[:, 0::2], top[:, 1::2] + bot[:, 1::2]
-        d0, d1 = top[:, 0::2] - bot[:, 0::2], top[:, 1::2] - bot[:, 1::2]
-        np.subtract(s0, s1, out=w[q : 2 * q].reshape(m, m))
-        np.add(d0, d1, out=w[2 * q : 3 * q].reshape(m, m))
-        np.subtract(d0, d1, out=w[3 * q : 4 * q].reshape(m, m))
-        w[q : 4 * q] *= 0.5
-        cur = s0 + s1
-        cur *= 0.5
-    w[0] = cur[0, 0]
+        _haar_butterfly(*_quarters(cur), *w[: 4 * q].reshape(4, m, m))
+        w[: 4 * q] *= 0.5
+        cur = w[:q].reshape(m, m)
     return w
 
 
 def haar_inverse(w, out=None):
-    """Inverse of :func:`haar_forward` (the transform is unitary); ``out`` (n x n, of the
-    coefficients' dtype) receives the image when given."""
+    """Inverse of :func:`haar_forward` (unitary): the same butterfly, from a level's average and
+    details to the finer quarters; ``out`` (n x n, of w's dtype) receives the image when given."""
     w = as_complex(w).ravel()
     n = math.isqrt(w.size)
     if n * n != w.size:
@@ -157,17 +165,9 @@ def haar_inverse(w, out=None):
     cur = w[:1].reshape(1, 1)
     for lev in range(p):
         q, m = 4**lev, 1 << lev
-        d01 = w[q : 2 * q].reshape(m, m)
-        d10 = w[2 * q : 3 * q].reshape(m, m)
-        d11 = w[3 * q : 4 * q].reshape(m, m)
-        s0, s1, d0, d1 = cur + d01, cur - d01, d10 + d11, d10 - d11
         last = out is not None and lev == p - 1
-        cur = out if last else np.empty((2 * m, 2 * m), dtype=w.dtype)
-        top, bot = cur[0::2], cur[1::2]
-        np.add(s0, d0, out=top[:, 0::2])
-        np.add(s1, d1, out=top[:, 1::2])
-        np.subtract(s0, d0, out=bot[:, 0::2])
-        np.subtract(s1, d1, out=bot[:, 1::2])
+        avg, cur = cur, out if last else np.empty((2 * m, 2 * m), dtype=w.dtype)
+        _haar_butterfly(avg, *w[q : 4 * q].reshape(3, m, m), *_quarters(cur))
         cur *= 0.5
     return cur
 

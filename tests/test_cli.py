@@ -27,6 +27,15 @@ def write_test_image(path, n=16):
     return img
 
 
+def read_recon_complex(out, n):
+    """The exact reconstruction that ``reconstruct`` writes to ``out/recon_complex.csv``."""
+    recon = np.zeros((n, n), dtype=complex)
+    with open(out / "recon_complex.csv") as fh:
+        for r in csv.DictReader(fh):
+            recon[int(r["t1"]), int(r["t2"])] = float(r["real"]) + 1j * float(r["imag"])
+    return recon
+
+
 def manifest_argv(out):
     """The command line that ``out/manifest.json`` records, with its ``--out``."""
     manifest = json.loads((out / "manifest.json").read_text())
@@ -218,6 +227,10 @@ def test_cmd_reconstruct_full_sampling_identity(tmp_path):
     with open(out / "error.csv") as fh:
         rows = {r["quantity"]: float(r["value"]) for r in csv.DictReader(fh)}
     assert rows["relative_l2_error"] <= 1e-6
+    # the run's own files reproduce its error even when the result is almost real
+    recon = read_recon_complex(out, 16)
+    expected = np.linalg.norm(recon - f) / np.linalg.norm(f)
+    assert rows["relative_l2_error"] == pytest.approx(expected, rel=1e-12)
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True
 
@@ -228,12 +241,8 @@ def test_cmd_reconstruct_error_formula(tmp_path):
     out = tmp_path / "rec"
     main(["reconstruct", "--image", str(img_path), "--density", "inv-square",
           "--m", "120", "--seed", "5", "--out", str(out), "--max-iters", "3000"])
-    # undersampled run leaves a complex residual, so the sidecar holds the
-    # exact reconstruction; recompute || f - f# ||_2 / || f ||_2 from it
-    recon = np.zeros((16, 16), dtype=complex)
-    with open(out / "recon_complex.csv") as fh:
-        for r in csv.DictReader(fh):
-            recon[int(r["t1"]), int(r["t2"])] = float(r["real"]) + 1j * float(r["imag"])
+    # recompute || f - f# ||_2 / || f ||_2 from the exact reconstruction the run writes
+    recon = read_recon_complex(out, 16)
     with open(out / "error.csv") as fh:
         rows = {r["quantity"]: float(r["value"]) for r in csv.DictReader(fh)}
     expected = np.linalg.norm(recon - f) / np.linalg.norm(f)

@@ -70,6 +70,23 @@ def test_inner_1d_closed_form_vs_direct_sum_random():
         ) < 1e-12
 
 
+def test_inner_1d_is_the_conjugate_inner_product_up_to_a_phase():
+    # against <phi_k, h> = sum_{t=1}^{N} conj(phi_k(t)) h(t-1), phi_k(t) = exp(2j*pi*t*k/N)/sqrt(N)
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        p = int(rng.integers(1, 9))
+        size = 1 << p
+        k = int(rng.integers(-size // 2 + 1, size // 2 + 1))
+        n = int(rng.integers(0, p))
+        l = int(rng.integers(0, 1 << n))
+        e = int(rng.integers(0, 2))
+        t = np.arange(1, size + 1)
+        phi = np.exp(2j * np.pi * t * k / size) / np.sqrt(size)
+        inner = np.sum(phi.conj() * haar_atom_1d(p, e, n, l))
+        want = np.exp(-2j * np.pi * k / size) * inner.conjugate()
+        assert abs(fourier_haar_inner_1d(p, k, e, n, l) - want) < 1e-12
+
+
 def test_inner_1d_magnitude_shift_invariant():
     p, k, n = 5, 7, 3
     mags = {

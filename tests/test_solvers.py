@@ -272,11 +272,11 @@ def test_solver_rejects_disagreeing_duplicates():
         tv_min_reconstruct(y, plan)
 
 
+@pytest.mark.parametrize("n, m", [(16, 150), (64, 600)])  # n = 64 stops inside complex64
 @pytest.mark.parametrize("model", ["weighted", "unweighted"])
-def test_constraint_violation_matches_public_operator(model):
-    n = 16
+def test_constraint_violation_matches_public_operator(model, n, m):
     f = rect_phantom(n, seed=7, side=6)
-    plan = draw_plan(density_inverse_square(n), 150, seed=23)
+    plan = draw_plan(density_inverse_square(n), m, seed=23)
     assert len(np.unique(plan.freqs, axis=0)) < plan.m
     eps = 0.1
     radius = eps * np.sqrt(plan.m)
@@ -470,6 +470,19 @@ def test_tv_converges_when_a_constant_image_is_feasible(model):
     y, plan, eps = _zero_image_nearly_feasible(model)
     opts = SolverOptions(max_iters=2000, epsilon=eps, noise_model=model)
     assert tv_min_reconstruct(y, plan, opts)[1].converged
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the objective-change stop fires at 3850 iterations, 1750 of them in "
+                   "complex64, 3.62e-4 above the truth's TV: 36x over the bound")
+def test_default_tv_stop_is_not_above_the_truth():
+    # eps = 0, so the truth is feasible and a converged solve may not end above its TV; plan
+    # seed 1 happens to pass (+6.3e-6), so the plan is named, not chosen
+    n = 64
+    f = rect_phantom(n)
+    plan = draw_plan(density_inverse_square(n), 819, seed=0)
+    _, report = tv_min_reconstruct(partial_dft(f, plan), plan, SolverOptions())
+    assert not report.converged or report.objective <= tv_norm(f) * (1 + 1e-5)
 
 
 def test_add_noise_rejects_a_bad_model_or_length():
