@@ -90,7 +90,7 @@ def tv_norm(f):
 def lp_norm(x, p):
     """Vector lp norm for p in [1, inf]; p = inf gives the max modulus. Sums in float64."""
     x = np.asarray(x).ravel()
-    if p != np.inf and p < 1:
+    if not p >= 1:  # also refuses NaN
         raise ValueError(f"lp_norm requires p >= 1 or p = inf, got {p}")
     mags = np.abs(x)
     if p == np.inf:

@@ -78,6 +78,12 @@ def _check_1d_index(p, e, n, l):
         raise ValueError(f"shift l must satisfy 0 <= l < {1 << n}, got {l}")
 
 
+def _haar_patterns(p, n):
+    """Window and step sign patterns (0, +-1) of scale ``n`` on 2**p points, one row per shift."""
+    window = np.repeat(np.eye(1 << n, dtype=int), 1 << (p - n), axis=1)
+    return window, window * np.tile(np.repeat([1, -1], 1 << (p - n - 1)), 1 << n)
+
+
 def haar_atom_1d(p, e, n, l):
     """Univariate Haar building block on 2**p points.
 
@@ -87,34 +93,26 @@ def haar_atom_1d(p, e, n, l):
     ``2**((n-p)/2)``.
     """
     _check_1d_index(p, e, n, l)
-    size = 1 << p
-    wlen = 1 << (p - n)
-    start = l * wlen
-    v = 2.0 ** ((n - p) / 2)
-    atom = np.zeros(size)
-    if e == 0:
-        atom[start : start + wlen] = v
-    else:
-        atom[start : start + wlen // 2] = v
-        atom[start + wlen // 2 : start + wlen] = -v
-    return atom
+    return 2.0 ** ((n - p) / 2) * _haar_patterns(p, n)[e][l]
 
 
 def _haar_blocks(p):
-    """1-D factor stacks (A, B) of each atom block in canonical order (the constant atom, then
-    per scale (0,1), (1,0), (1,1)); a block's atoms are ``np.outer(A[l1], B[l2])``, shift-row-major.
-    """
-    t0 = haar_atom_1d(p, 0, 0, 0)[None]
-    yield t0, t0
+    """Sign patterns (A, B) and exact scale c = 2**(n-p) of each atom block in canonical order
+    (the constant atom, then per scale n (0,1), (1,0), (1,1)); a block's atoms are
+    ``c * np.outer(A[l1], B[l2])``, shift-row-major: every nonzero entry is ±c, exactly."""
+    side_exponent(2**p)  # the system has a scale: p >= 1
+    ones = np.ones((1, 1 << p), dtype=int)
+    yield ones, ones, 2.0**-p
     for n in range(p):
-        w, s = (np.array([haar_atom_1d(p, e, n, l) for l in range(1 << n)]) for e in (0, 1))
-        yield from ((w, s), (s, w), (s, s))
+        w, s = _haar_patterns(p, n)
+        c = 2.0 ** (n - p)
+        yield from ((w, s, c), (s, w, c), (s, s, c))
 
 
 def haar_matrix(p):
-    """Dense transform matrix: row per atom in canonical order."""
-    return np.concatenate([(a[:, None, :, None] * b[None, :, None, :]).reshape(-1, 4**p)
-                           for a, b in _haar_blocks(p)])
+    """Dense transform matrix: row per atom in canonical order, exact in binary floating point."""
+    return np.concatenate([c * (a[:, None, :, None] * b[None, :, None, :]).reshape(-1, 4**p)
+                           for a, b, c in _haar_blocks(p)])
 
 
 def _quarters(x):  # the corners of the 2x2 blocks, in the butterfly's order

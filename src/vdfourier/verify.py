@@ -135,20 +135,22 @@ def check_edge_lemma(n):
     """
     p = side_exponent(n)
     count_x, count_y = np.zeros((n - 1, n), dtype=int), np.zeros((n, n - 1), dtype=int)
-    for a, b in _haar_blocks(p):
+    for a, b, _ in _haar_blocks(p):
         count_x += np.outer((np.diff(a, axis=1) != 0).sum(0), (b != 0).sum(0))
         count_y += np.outer((a != 0).sum(0), (np.diff(b, axis=1) != 0).sum(0))
     return int(max(count_x.max(), count_y.max()))
 
 
 def check_atom_tv(n):
-    """Max anisotropic TV over all Haar atoms of the side-n system (<= 8).
+    """Max anisotropic TV over all Haar atoms of the side-n system (<= 8), exact.
 
-    TV(a (x) b) = ||Da||_1 ||b||_1 + ||a||_1 ||Db||_1, D the zero-padded forward difference.
+    TV(c a (x) b) = c (||Da||_1 ||b||_1 + ||a||_1 ||Db||_1), D the zero-padded forward difference,
+    summed in integers over the sign patterns a, b and scaled once by the block's power of two c.
     """
-    norms = [[(np.abs(np.diff(x, axis=1)).sum(1), np.abs(x).sum(1)) for x in ab]
-             for ab in _haar_blocks(side_exponent(n))]
-    return max(float((np.outer(da, nb) + np.outer(na, db)).max()) for (da, na), (db, nb) in norms)
+    norms = [(c, *((np.abs(np.diff(x, axis=1)).sum(1), np.abs(x).sum(1)) for x in (a, b)))
+             for a, b, c in _haar_blocks(side_exponent(n))]
+    return max(c * float((np.outer(da, nb) + np.outer(na, db)).max())
+               for c, (da, na), (db, nb) in norms)
 
 
 def check_coeff_decay(f):

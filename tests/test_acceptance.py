@@ -201,7 +201,7 @@ def test_criterion_4_lemma_suite():
         p = n.bit_length() - 1
         edges = check_edge_lemma(n)
         atom_tv = check_atom_tv(n)
-        ok &= edges <= 6 * p and atom_tv <= 8.0 + 1e-9
+        ok &= edges <= 6 * p and atom_tv <= 8.0
         details.append(f"n={n}: edges {edges}/{6 * p}, tv {atom_tv:.3f}")
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0

@@ -200,6 +200,15 @@ def test_cmd_sample_random_density_requires_m(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cmd_sample_radial_density_rejects_m(tmp_path, capsys):
+    # the line count fixes m, so an --m would be recorded in manifest.json but not used
+    out = tmp_path / "x"
+    assert main(["sample", "--n", "16", "--density", "radial:4", "--m", "5",
+                 "--out", str(out)]) == 2
+    assert "--m does not apply" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 
@@ -381,6 +390,19 @@ def test_cmd_reconstruct_needs_exactly_one_of_plan_and_density(tmp_path, both):
         main(["reconstruct", "--image", str(img_path), "--m", "100", *source,
               "--out", str(tmp_path / "rec")])
     assert exc.value.code == 2
+    assert not (tmp_path / "rec").exists()
+
+
+@pytest.mark.parametrize("from_csv", [True, False], ids=["plan", "radial"])
+def test_cmd_reconstruct_rejects_m_where_the_plan_fixes_it(tmp_path, capsys, from_csv):
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    plan_path = tmp_path / "full.csv"
+    full_grid_plan(16, rho_value=16.0).to_csv(plan_path)
+    source = ["--plan", str(plan_path)] if from_csv else ["--density", "radial:4"]
+    assert main(["reconstruct", "--image", str(img_path), *source, "--m", "5",
+                 "--out", str(tmp_path / "rec")]) == 2
+    assert "--m does not apply" in capsys.readouterr().err
     assert not (tmp_path / "rec").exists()
 
 

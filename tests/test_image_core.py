@@ -113,6 +113,15 @@ def test_lp_norm_basics():
         lp_norm(x, 0.5)
 
 
+@pytest.mark.parametrize("p", [0.5, -np.inf, np.nan])
+def test_lp_norm_and_best_s_term_error_reject_p_below_one(p):
+    x = np.array([1.0, -2.0, 0.5])
+    with pytest.raises(ValueError, match="p >= 1"):
+        lp_norm(x, p)
+    with pytest.raises(ValueError, match="p >= 1"):
+        best_s_term_error(x, 1, p)
+
+
 def test_hard_threshold_identity_and_zero():
     x = np.array([1.0, -2.0, 0.5])
     assert np.array_equal(hard_threshold(x, 3), x)

@@ -1,8 +1,10 @@
 """Property tests (hypothesis) for the data-ball projection, the duplicate merge,
-the discrete gradient, the lp norms, the transforms, the isotropy identity, the partial DFT, the
-closed-form Fourier-Haar inner products, the grid CSV writer and PGM round trips."""
+the discrete gradient, the lp norms, the transforms, the exact Haar reference, the isotropy
+identity, the partial DFT, the closed-form Fourier-Haar inner products, the grid CSV writer
+and PGM round trips."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -31,7 +33,7 @@ from vdfourier.transforms import (
     partial_dft_adjoint,
     sampled_phase,
 )
-from vdfourier.verify import isotropy_identity_error
+from vdfourier.verify import check_atom_tv, isotropy_identity_error
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 NAN = complex(np.nan, np.nan)  # fills an output array that must be written, never read
@@ -172,6 +174,23 @@ def test_haar_forward_matches_matrix_and_is_unitary(p, seed):
     np.testing.assert_allclose(coef, haar_matrix(p) @ f.ravel(), atol=1e-12)
     np.testing.assert_allclose(haar_inverse(coef), f, atol=1e-12)
     assert abs(np.vdot(coef, w) - np.vdot(f, haar_inverse(w))) <= 1e-12 * n * n
+
+
+# Every entry of haar_matrix is a signed power of two, so on small integers the dense reference
+# and the butterflies are both exact, and so is each atom's TV: each comparison below is exact.
+
+@PROPERTY
+@given(p=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_haar_forward_is_the_exact_dense_product_on_integer_images(p, seed):
+    n = 1 << p
+    rng = np.random.default_rng(seed)
+    f = rng.integers(-8, 9, (n, n)) + 1j * rng.integers(-8, 9, (n, n))
+    assert haar_forward(f).tobytes() == (haar_matrix(p) @ f.ravel()).tobytes()
+
+
+@pytest.mark.parametrize("n, tv", [(2, 4.0), (4, 6.0), (8, 8.0), (16, 8.0), (32, 8.0), (64, 8.0)])
+def test_atom_tv_is_exact(n, tv):
+    assert check_atom_tv(n) == tv
 
 
 

@@ -129,17 +129,19 @@ def test_haar_index_count():
 # ---------------------------------------------------------------------------
 # Haar transform
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_haar_matrix_orthonormal(p):
     h = haar_matrix(p)
-    nn = 4**p
-    assert np.abs(h @ h.T - np.eye(nn)).max() <= 1e-12
+    assert np.array_equal(h @ h.T, np.eye(4**p))  # signed powers of two: exact, not to rounding
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_haar_matrix_stacks_the_2d_atoms(p):
-    atoms = np.array([haar_atom_2d(p, idx).ravel() for idx in haar_indices(p)])
-    assert np.array_equal(haar_matrix(p), atoms)
+    # each atom exactly: its 1-D sign patterns times 2**(n - p), with no rounded 1-D factor
+    atoms = [2.0 ** (n - p) * np.outer(np.sign(haar_atom_1d(p, e[0], n, l[0])),
+                                       np.sign(haar_atom_1d(p, e[1], n, l[1]))).ravel()
+             for e, n, l in haar_indices(p)]
+    assert np.array_equal(haar_matrix(p), np.array(atoms))
 
 
 def test_haar_forward_matches_dense_matrix():

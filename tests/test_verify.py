@@ -13,7 +13,7 @@ from vdfourier.sampling import (
     density_uniform,
     draw_plan,
 )
-from vdfourier.transforms import freq_values, haar_inverse
+from vdfourier.transforms import freq_values, haar_inverse, haar_matrix
 from vdfourier.verify import (
     build_preconditioned_matrix,
     check_atom_tv,
@@ -166,19 +166,19 @@ def test_edge_lemma_regression_n16():
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_atom_tv_bound(n):
-    assert check_atom_tv(n) <= 8.0 + 1e-9
+    assert check_atom_tv(n) <= 8.0
 
 
 def test_atom_tv_constant_and_checkerboard():
     p = 3
-    idx = haar_indices(p)
-    assert tv_norm(haar_atom_2d(p, idx[0])) == 0.0
-    checker = next(i for i in idx if i.e == (1, 1) and i.n == 0)
-    assert tv_norm(haar_atom_2d(p, checker)) <= 8.0 + 1e-9
+    atoms = haar_matrix(p).reshape(-1, 1 << p, 1 << p)
+    assert tv_norm(atoms[0]) == 0.0
+    checker = next(k for k, i in enumerate(haar_indices(p)) if i.e == (1, 1) and i.n == 0)
+    assert tv_norm(atoms[checker]) == 4.0  # jumps of 2**(1 - p) along 2 * 2**p pixel edges
 
 
 def test_atom_tv_regression_n16():
-    assert check_atom_tv(16) == pytest.approx(8.0, abs=1e-9)
+    assert check_atom_tv(16) == 8.0
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
