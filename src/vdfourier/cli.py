@@ -173,8 +173,7 @@ def cmd_coherence(args):
     l2k = kappa_l2(n, "kappa")
     l2kp = kappa_l2(n, "kappa_prime")
     checks = [
-        _check_row("local_coherence <= kappa", 1e-9, float((mu - kap).max()),
-                   (mu <= kap + 1e-9).all()),
+        _check_row("local_coherence <= kappa", 0.0, float((mu - kap).max()), (mu <= kap).all()),
         _check_row("kappa <= kappa_prime", 0.0, float((kap - kapp).max()),
                    (kap <= kapp).all()),
         _check_row("univariate ratio <= 1", 1.0, uni["max_ratio"], uni["max_ratio"] <= 1.0),

@@ -73,8 +73,8 @@ class SamplingPlan:
 
     def __post_init__(self):
         side_exponent(self.n)
-        if self.freqs.ndim != 2 or self.freqs.shape[1] != 2:
-            raise ValueError("freqs must be an (m, 2) array")
+        if self.freqs.ndim != 2 or self.freqs.shape[1] != 2 or self.freqs.dtype.kind not in "iu":
+            raise ValueError(f"freqs must be an (m, 2) array of integers, got {self.freqs.dtype}")
         if self.rho.shape != (self.freqs.shape[0],):
             raise ValueError("rho length must match the number of frequencies")
         if not np.all(np.isfinite(self.rho) & (self.rho > 0)):

@@ -31,9 +31,9 @@ and the restart copy are one operation each; every iteration runs in them throug
 ``out`` arguments of the FFT pair, the projection and the transforms, with the operations
 and their order of the allocating calls, so the iterates are bit for bit those of the
 allocating form. For n >= 64 they start in complex64 and are copied once to complex128 at the
-first check whose objective change is <= max(1e-4, ``primal_tol``); only complex128 checks
-stop a solve, and every exit returns a complex128 projection (a run capped in complex64 is
-projected once more). The draws, the Newton scalar, the objective and the norms stay in float64.
+first check whose objective change is <= max(1e-4, ``primal_tol``), or after ``max_iters - 1``
+iterations; only complex128 checks stop a solve, and the last iteration always runs in
+complex128. The draws, the Newton scalar, the objective and the norms stay in float64.
 """
 
 import math
@@ -120,7 +120,7 @@ class SolverReport:
     loop with ``dft2_forward`` independently of the projection; ``newton_steps``: the Newton
     evaluations of phi summed over every data-ball projection of the solve;
     ``primal_weight``: the final omega; ``weight_updates``: the number of epochs ended;
-    ``single_iterations``: the iterations run in complex64 (0 when n < 64).
+    ``single_iterations``: the complex64 ones, at most ``iterations - 1`` when n >= 64, 0 below.
     """
 
     iterations: int
@@ -197,10 +197,11 @@ def _solve(y, plan, opts, k1, k1t, lip):
     The dual q is one array shaped like k1(g) (``k1`` has norm <= ``lip``; ``k1`` and ``k1t``
     take an ``out`` array, which they fill without reading it). An iteration sets
     gt = P_C(g - tau*k1t(q)) (P_C: data-ball projection), qt = clip(q + sigma*k1(2*gt - g)),
-    and z += _RELAX*(zt - z) for z = (g, q) and zt = (gt, qt), one array each. Checks, report
-    and result use the feasible gt; the relaxed anchor g may leave the ball when eps > 0. The
-    merged means are rotated once into the frame of the unphased FFT, where P_C works; the
-    data fit of the result is measured with the phased ``dft2_forward`` instead.
+    and z += _RELAX*(zt - z) for z = (g, q) and zt = (gt, qt), one array each. A check writes
+    k1(gt) into the spent move, so the loop exits with its last trial point (gt, qt) intact,
+    made in complex128. Checks, report and result use the feasible gt; the relaxed anchor g may
+    leave the ball when eps > 0. The merged means are rotated once into the frame of the
+    unphased FFT, where P_C works; the result's fit is measured with the phased ``dft2_forward``.
     """
     opts = opts or SolverOptions()
     y = _measurements(y, plan)
@@ -225,12 +226,13 @@ def _solve(y, plan, opts, k1, k1t, lip):
     zt = np.zeros_like(z)
     t_ball, newton_steps = _project_ball(zt[0], lin, w, ybar_u, radius_distinct, 0.0, z[0])
     z_ref = z  # g = P_C(0), q = 0
-    phases = [(np.complex64, max(_SINGLE_UNTIL, opts.primal_tol))] if n >= _SINGLE_MIN_N else []
+    phases = ([(np.complex64, max(_SINGLE_UNTIL, opts.primal_tol), opts.max_iters - 1)]
+              if n >= _SINGLE_MIN_N else [])
 
     weight = float(opts.step_balance)
     updates = it = 0
     start = 1  # first iteration of the current epoch
-    for dtype, tol in phases + [(np.complex128, opts.primal_tol)]:
+    for dtype, tol, last in phases + [(np.complex128, opts.primal_tol, opts.max_iters)]:
         single_iterations = it  # the last phase is the complex128 one
         z, zt, z_ref = (a.astype(dtype) for a in (z, zt, z_ref))
         dz = np.empty_like(z)
@@ -238,7 +240,7 @@ def _solve(y, plan, opts, k1, k1t, lip):
         step = dz[0]  # the primal step, then 2*gt - g, until the move overwrites it
         mag = np.empty(qshape, dtype=z.real.dtype)  # the dual step's modulus
         obj_prev = rel_change = np.inf  # no stop before two checks of this phase
-        for it in range(it + 1, opts.max_iters + 1):
+        for it in range(it + 1, last + 1):
             tau, sigma = 1.0 / (weight * lip), weight / lip
             np.multiply(tau, k1t(q, out=step), out=step)
             np.subtract(g, step, out=step)  # g - tau*k1t(q)
@@ -270,15 +272,11 @@ def _solve(y, plan, opts, k1, k1t, lip):
                     start = it + 1
             z += np.multiply(_RELAX, dz, out=dz)
             if check:
-                obj = lp_norm(k1(gt, out=qt), 1)
+                obj = lp_norm(k1(gt, out=dz[1:].reshape(qshape)), 1)
                 rel_change = abs(obj - obj_prev) / max(abs(obj), 1e-30)
                 obj_prev = obj
                 if rel_change <= tol:
                     break
-    if single_iterations == it:  # no complex128 iteration ran: project the result in complex128
-        np.copyto(dz[0], gt)
-        t_ball, evals = _project_ball(dz[0], lin, w, ybar_u, radius_distinct, t_ball, gt)
-        newton_steps += evals
 
     fit2 = float(np.sum(w * np.abs(dft2_forward(gt).ravel()[lin] - ybar) ** 2))
     violation = max(0.0, np.sqrt(fit2 + spread) - radius)

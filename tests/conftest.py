@@ -61,13 +61,30 @@ def fourier_haar_inner_1d_direct(p, k, e, n, l):
     return complex(np.sum(np.exp(2j * np.pi * k * j / size) * atom) / np.sqrt(size))
 
 
+def haar_atom_exact(p, idx):
+    """Bivariate Haar atom from its definition, independent of :mod:`vdfourier.transforms`.
+
+    Along axis i it is the window (``e_i = 0``) or the step (``e_i = 1``: +1 on the first half,
+    -1 on the second) on the dyadic interval ``[l_i, l_i + 1) * 2**(p-n)``; the product is
+    scaled by ``2.0**(n - p)``, so every nonzero entry is a power of two, exactly.
+    """
+    e, n, l = idx
+    width = 1 << (p - n)
+    axes = np.zeros((2, 1 << p))
+    for axis, (ei, li) in enumerate(zip(e, l)):
+        axes[axis, li * width:(li + 1) * width] = 1.0
+        if ei:
+            axes[axis, li * width + width // 2:(li + 1) * width] = -1.0
+    return 2.0 ** (n - p) * np.outer(*axes)
+
+
 def edge_lemma_loop(n):
     """Per-atom oracle for :func:`vdfourier.verify.check_edge_lemma`."""
     p = n.bit_length() - 1
     count_x = np.zeros((n - 1, n), dtype=int)
     count_y = np.zeros((n, n - 1), dtype=int)
     for idx in haar_indices(p)[1:]:
-        atom = haar_atom_2d(p, idx)
+        atom = haar_atom_exact(p, idx)
         count_x += np.abs(atom[1:, :] - atom[:-1, :]) > 0
         count_y += np.abs(atom[:, 1:] - atom[:, :-1]) > 0
     return int(max(count_x.max(), count_y.max()))
@@ -76,7 +93,7 @@ def edge_lemma_loop(n):
 def atom_tv_loop(n):
     """Per-atom oracle for :func:`vdfourier.verify.check_atom_tv`."""
     p = n.bit_length() - 1
-    return max(tv_norm(haar_atom_2d(p, idx)) for idx in haar_indices(p))
+    return max(tv_norm(haar_atom_exact(p, idx)) for idx in haar_indices(p))
 
 
 def local_coherence_three_products(n):

@@ -151,7 +151,7 @@ def test_local_coherence_factored_nyquist_entry_n32():
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_local_coherence_below_kappa(n):
     mu = local_coherence_exact(n)
-    assert np.all(mu <= kappa_table(n) + 1e-9)
+    assert np.all(mu <= kappa_table(n))
 
 
 def test_coherence_chain_up_to_256():
@@ -159,8 +159,8 @@ def test_coherence_chain_up_to_256():
         mu = local_coherence_exact(n)
         kap = kappa_table(n)
         kapp = kappa_prime_table(n)
-        assert np.all(mu <= kap + 1e-9)
-        assert np.all(kap <= kapp + 1e-15)
+        assert np.all(mu <= kap)
+        assert np.all(kap <= kapp)
         assert np.all(kapp <= 1.0)
 
 
@@ -241,7 +241,7 @@ def test_kappa_tables_match_the_scalar_formulas_bit_for_bit(n):
 
 
 def test_kappa_le_kappa_prime_exhaustive_n64():
-    assert np.all(kappa_table(64) <= kappa_prime_table(64) + 1e-15)
+    assert np.all(kappa_table(64) <= kappa_prime_table(64))
 
 
 def test_kappa_l2_direct_oracle_p4():

@@ -259,6 +259,13 @@ def test_plan_rejects_a_bad_freqs_shape_or_rho_length():
         SamplingPlan(n=8, freqs=np.zeros((3, 2), dtype=int), rho=np.ones(2))
 
 
+@pytest.mark.parametrize("dtype", [float, complex, bool, object])
+def test_plan_rejects_non_integer_freqs(dtype):
+    # float indices would only fail later, inside partial_dft and the solvers
+    with pytest.raises(ValueError, match="freqs must be an .* array of integers"):
+        SamplingPlan(n=8, freqs=np.array([[1, 0]], dtype=dtype), rho=np.ones(1))
+
+
 def test_mask_variant_errors():
     with pytest.raises(ValueError):
         deterministic_mask(8, "lowest_frequencies", m=65)

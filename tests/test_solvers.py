@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -385,15 +386,40 @@ def test_small_grids_run_in_complex128_only(monkeypatch, solve):
 
 def test_a_stop_test_passed_in_complex64_only_switches():
     # the objective-change test at the switch never ends a solve: stopping there, or at a
-    # primal_tol above the switch level, needs two more checks in complex128
+    # primal_tol above the switch level, needs two more checks in complex128; capped at the
+    # switch, the solve hands its last iteration to complex128
     solve, y, plan, opts = _precision_case("haar-64")
     switch = solve(y, plan, opts)[1].single_iterations
     g, cut = solve(y, plan, SolverOptions(max_iters=switch))
-    assert (cut.iterations, cut.single_iterations, cut.converged) == (switch, switch, False)
+    assert (cut.iterations, cut.single_iterations, cut.converged) == (switch, switch - 1, False)
     assert g.dtype == np.complex128
     _, loose = solve(y, plan, SolverOptions(primal_tol=1e-2))
     assert loose.converged
     assert loose.iterations >= loose.single_iterations + 2 * solvers._CHECK_EVERY
+
+
+@functools.cache
+def _uncapped_switch(name):
+    solve, y, plan, opts = _precision_case(name)
+    return solve(y, plan, opts)[1].single_iterations
+
+
+@pytest.mark.parametrize("cap", [lambda s: 1, lambda s: 51, lambda s: s - 1, lambda s: s,
+                                 lambda s: s + 1], ids=["1", "51", "s-1", "s", "s+1"])
+@pytest.mark.parametrize("name", ["haar-64", "tv-64-weighted"])
+def test_every_capped_solve_ends_on_a_complex128_projection(name, cap):
+    # s: the uncapped solve's complex64 iterations; whatever the cap, the last iteration runs
+    # in complex128, so the returned image is a complex128 projection onto the data ball
+    s = _uncapped_switch(name)
+    solve, y, plan, opts = _precision_case(name)
+    cap = cap(s)
+    g, report = solve(y, plan, dataclasses.replace(opts, max_iters=cap))
+    assert g.dtype == np.complex128
+    assert (report.iterations, report.single_iterations) == (cap, min(cap - 1, s))
+    assert not report.converged
+    assert report.constraint_violation <= opts.dual_tol * np.sqrt(plan.m) * max(opts.epsilon, 1.0)
+    if opts.epsilon > 0:
+        assert report.constraint_violation <= 1e-12 * opts.epsilon * np.sqrt(plan.m)
 
 
 def test_newton_steps_counts_prox_work():

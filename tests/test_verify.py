@@ -184,7 +184,7 @@ def test_atom_tv_regression_n16():
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
 def test_lemma_checks_match_the_per_atom_loops(n):
     assert check_edge_lemma(n) == edge_lemma_loop(n)
-    assert check_atom_tv(n) == pytest.approx(atom_tv_loop(n), rel=1e-15, abs=0)
+    assert check_atom_tv(n) == atom_tv_loop(n)
 
 
 def image_of_side(n):
