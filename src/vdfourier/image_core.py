@@ -109,9 +109,8 @@ def hard_threshold(x, s):
     if not 0 <= s <= flat.size:
         raise ValueError(f"s must be in [0, {flat.size}], got {s}")
     out = np.zeros_like(flat)
-    if s > 0:
-        keep = np.argsort(-np.abs(flat), kind="stable")[:s]  # ties keep index order
-        out[keep] = flat[keep]
+    keep = np.argsort(-np.abs(flat), kind="stable")[:s]  # ties keep index order
+    out[keep] = flat[keep]
     return out.reshape(x.shape)
 
 

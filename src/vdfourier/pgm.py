@@ -60,8 +60,9 @@ def read_pgm(path):
 
 def write_pgm(path, pixels, maxval=255):
     """Write finite 2-D float pixels in [0, 1] (clipped) as a binary P5 file at the given depth."""
-    if not 0 < maxval < 65536:
-        raise ValueError(f"invalid maxval {maxval}")
+    if (isinstance(maxval, bool) or not isinstance(maxval, (int, np.integer))
+            or not 0 < maxval < 65536):
+        raise ValueError(f"maxval must be an int in [1, 65535], got {maxval!r}")
     arr = np.asarray(pixels, dtype=float)
     if arr.ndim != 2 or not np.isfinite(arr).all():
         raise ValueError(f"PGM pixels must be a finite 2-D array, got shape {arr.shape}")

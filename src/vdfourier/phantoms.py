@@ -12,6 +12,8 @@ def rect_phantom(n, seed=0, side=10):
     entries, so a 10 x 10 square gives a gradient support of 40.
     Its position and amplitude are drawn from the seed.
     """
+    if side < 1:
+        raise ValueError(f"side must be >= 1, got {side}")
     if n < side + 4:
         raise ValueError(f"n = {n} too small for a side-{side} square")
     rng = np.random.default_rng(seed)

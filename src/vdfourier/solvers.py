@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import norm
 
 from .image_core import gradient, gradient_adjoint, lp_norm
 from .transforms import (
@@ -100,7 +99,8 @@ class SolverOptions:
             raise ValueError(f"noise_model must be weighted|unweighted, got {self.noise_model!r}")
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 1):
             raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
         for name in ("primal_tol", "dual_tol", "step_balance"):
             if not np.isfinite(getattr(self, name)) or getattr(self, name) <= 0:
@@ -170,11 +170,6 @@ def _project_ball(v, lin, w, ybar, r, t, out):
     s[lin] = ybar + a / (1.0 + t * w)
     ifft2_unphased(out, out=out)
     return t, evals
-
-
-def _norm(x):
-    """The 2-norm, summed in float64 whatever the precision of ``x``."""
-    return norm(x.astype(np.complex128, copy=False))
 
 
 def _merge_draws(plan, y, d2):
@@ -258,11 +253,11 @@ def _solve(y, plan, opts, k1, k1t, lip):
             np.subtract(zt, z, out=dz)
             check = it % _CHECK_EVERY == 0
             if it == start or check:
-                r = np.sqrt(weight * _norm(dz[0]) ** 2 + _norm(dz[1:]) ** 2 / weight)
+                r = np.sqrt(weight * lp_norm(dz[0], 2) ** 2 + lp_norm(dz[1:], 2) ** 2 / weight)
                 if it == start:
                     r0 = r
                 elif r <= _RESTART_SUFFICIENT * r0 or it - start + 1 >= _RESTART_ARTIFICIAL * it:
-                    dg, dq = _norm(zt[0] - z_ref[0]), _norm(zt[1:] - z_ref[1:])
+                    dg, dq = lp_norm(zt[0] - z_ref[0], 2), lp_norm(zt[1:] - z_ref[1:], 2)
                     # 1/2-log smoothing of dq/dg; weight and lip are Python floats, since an
                     # np.float64 step would run the complex64 products in complex128
                     if dg > 0 and dq > 0:
@@ -312,13 +307,11 @@ def add_noise(clean, plan, eps, model=SolverOptions.noise_model, seed=0):
     """Corrupt measurements with complex Gaussian noise of exact level eps.
 
     The noise vector is rescaled so that ||rho o xi||_2 (weighted model) or ||xi||_2 (unweighted,
-    the default ``SolverOptions.noise_model``) equals eps * sqrt(m) exactly; eps = 0 returns the
-    input unchanged. ``SolverOptions`` checks ``model`` and ``eps``; ``clean`` is m finite values.
+    the default ``SolverOptions.noise_model``) equals eps * sqrt(m) exactly; eps = 0 adds
+    zeros. ``SolverOptions`` checks ``model`` and ``eps``; ``clean`` is m finite values.
     """
     SolverOptions(noise_model=model, epsilon=eps)
     clean = _measurements(clean, plan)
-    if eps == 0:
-        return clean.copy()
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal(plan.m) + 1j * rng.standard_normal(plan.m)
     w = plan.rho * xi if model == "weighted" else xi

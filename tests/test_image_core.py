@@ -65,6 +65,12 @@ def test_gradient_adjoint_identity():
         assert abs(lhs - rhs) < 1e-10
 
 
+def test_gradient_adjoint_rejects_a_strided_out():
+    out = np.zeros((8, 16), dtype=complex)[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous out"):
+        gradient_adjoint(np.zeros((2, 8, 8), dtype=complex), out=out)
+
+
 def test_tv_constant_is_zero():
     assert tv_norm(np.full((8, 8), 2.5)) == 0.0
 
@@ -126,6 +132,7 @@ def test_hard_threshold_identity_and_zero():
     x = np.array([1.0, -2.0, 0.5])
     assert np.array_equal(hard_threshold(x, 3), x)
     assert np.all(hard_threshold(x, 0) == 0)
+    assert np.array_equal(hard_threshold(x.reshape(3, 1), 0), np.zeros((3, 1)))
     with pytest.raises(ValueError):
         hard_threshold(x, 4)
     with pytest.raises(ValueError):

@@ -85,8 +85,23 @@ def test_read_names_a_size_that_is_not_positive(tmp_path, size, magic, raster):
 
 
 def test_write_rejects_bad_maxval(tmp_path):
-    with pytest.raises(ValueError):
-        write_pgm(tmp_path / "g.pgm", np.zeros((2, 2)), maxval=70000)
+    # a float or bool would be written into the header as 255.5, 255.0 or True,
+    # which read_pgm cannot parse
+    path = tmp_path / "g.pgm"
+    for maxval in (70000, 0, 255.5, np.float64(255.0), True):
+        with pytest.raises(ValueError, match="maxval"):
+            write_pgm(path, np.zeros((2, 2)), maxval=maxval)
+        assert not path.exists()
+
+
+def test_roundtrip_at_a_numpy_integer_maxval(tmp_path):
+    img = np.array([[0.0, 0.5], [1.0, 0.2]])
+    path = tmp_path / "n.pgm"
+    write_pgm(path, img, maxval=np.int64(255))
+    assert path.read_bytes().startswith(b"P5\n2 2\n255\n")
+    back, maxval = read_pgm(path)
+    assert maxval == 255
+    assert np.array_equal(np.rint(back * 255), np.rint(img * 255))
 
 
 @pytest.mark.parametrize("pixels", [np.array([[0.5, np.nan], [0.0, 1.0]]), np.zeros((2, 2, 2)),

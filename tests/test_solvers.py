@@ -111,9 +111,12 @@ def test_haar_weighted_noise_error_level():
 # noise generation
 
 def test_add_noise_zero_eps_is_identity():
+    # eps = 0 takes the general path: the noise is scaled by 0 and added
     plan = draw_plan(density_inverse_square(8), 10, seed=0)
-    clean = np.arange(10, dtype=complex)
-    assert np.array_equal(add_noise(clean, plan, 0.0), clean)
+    clean = np.arange(10) * (1 - 2j) - 4
+    for model in ("weighted", "unweighted"):
+        y = add_noise(clean, plan, 0.0, model=model)
+        assert np.array_equal(y, clean) and y is not clean
 
 
 @pytest.mark.parametrize("model", ["weighted", "unweighted"])
@@ -326,6 +329,7 @@ def test_solver_options_reject_nonfinite_epsilon(eps):
 
 @pytest.mark.parametrize("field, value", [
     ("max_iters", 0), ("max_iters", -5), ("max_iters", 2.5), ("max_iters", "300"),
+    ("max_iters", True),
     ("primal_tol", np.nan), ("primal_tol", 0.0), ("dual_tol", -1.0), ("dual_tol", np.inf),
     ("step_balance", 0.0), ("step_balance", -np.inf), ("step_balance", np.nan),
 ])
