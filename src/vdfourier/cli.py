@@ -206,7 +206,7 @@ def cmd_sample(args):
 
 def _solver_options(args, eps):
     return SolverOptions(max_iters=args.max_iters, primal_tol=args.primal_tol,
-                         dual_tol=args.dual_tol, noise_model=args.noise_model, epsilon=eps)
+                         noise_model=args.noise_model, epsilon=eps)
 
 
 def _load_image(path):
@@ -289,7 +289,8 @@ def cmd_sweep(args):
 
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # here: its import slows every command
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # fork starts every worker at the first submit, so no more than there are cells
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             rows = list(pool.map(_sweep_cell, tasks))
     else:
         rows = [_sweep_cell(t) for t in tasks]
@@ -345,7 +346,6 @@ def _add_common_solver_flags(sp):
     sp.add_argument("--solver", choices=["tv", "haar"], default="tv")
     sp.add_argument("--max-iters", type=int, default=SolverOptions.max_iters)
     sp.add_argument("--primal-tol", type=float, default=SolverOptions.primal_tol)
-    sp.add_argument("--dual-tol", type=float, default=SolverOptions.dual_tol)
 
 
 def build_parser():

@@ -73,6 +73,8 @@ class SamplingPlan:
 
     def __post_init__(self):
         side_exponent(self.n)
+        if self.freqs.shape[:1] == (0,):  # also an empty CSV's (0,) array
+            raise ValueError("a plan needs at least one frequency, got m = 0")
         if self.freqs.ndim != 2 or self.freqs.shape[1] != 2 or self.freqs.dtype.kind not in "iu":
             raise ValueError(f"freqs must be an (m, 2) array of integers, got {self.freqs.dtype}")
         if self.rho.shape != (self.freqs.shape[0],):

@@ -81,10 +81,10 @@ class SolverOptions:
     norm L of the gradient (sqrt(8), TV) or the Haar transform (1), so
     tau*sigma*L**2 = 1; omega then adapts (module docstring). ``primal_tol``
     bounds the relative objective change between two checks at which the
-    solve stops. The data ball is met by projection, so ``dual_tol`` only
-    scales the tolerances of the data-fit check after the loop and of the
-    repeated-sample spread check. ``epsilon`` is the noise level entering
-    the radius eps * sqrt(m).
+    solve stops. The data ball is met by projection, so ``dual_tol`` only sets the
+    tolerance dual_tol * S, S = ||d o y|| + eps * sqrt(m) (d = rho weighted, 1 unweighted),
+    of the data-fit check after the loop and of the repeated-sample spread check.
+    ``epsilon`` is the noise level entering the radius eps * sqrt(m).
     """
 
     max_iters: int = 20000
@@ -97,14 +97,15 @@ class SolverOptions:
     def __post_init__(self):
         if self.noise_model not in ("weighted", "unweighted"):
             raise ValueError(f"noise_model must be weighted|unweighted, got {self.noise_model!r}")
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
+        if isinstance(self.epsilon, bool) or not np.isfinite(self.epsilon) or self.epsilon < 0:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
                 or self.max_iters < 1):
             raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
         for name in ("primal_tol", "dual_tol", "step_balance"):
-            if not np.isfinite(getattr(self, name)) or getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not np.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,8 @@ class SolverReport:
     """Outcome of one solve; every field is deterministic.
 
     ``iterations`` run; ``converged``: the stopping rule fired within ``max_iters`` and
-    ``constraint_violation`` is within the ``dual_tol``-scaled tolerance, so a converged
-    image is feasible; ``objective``: the seminorm of the returned image;
+    ``constraint_violation`` <= ``dual_tol`` * (||d o y|| + eps * sqrt(m)), the tolerance of
+    :class:`SolverOptions`, so a converged image is feasible; ``objective``: the image's seminorm;
     ``primal_residual``: the relative objective change between the last two checks, not
     a residual (None until two complex128 checks have been compared); ``constraint_violation``:
     how far the returned image's data fit lies beyond the radius, measured once after the
@@ -202,9 +203,9 @@ def _solve(y, plan, opts, k1, k1t, lip):
     y = _measurements(y, plan)
     n = plan.n
     radius = opts.epsilon * np.sqrt(plan.m)
-    viol_tol = opts.dual_tol * np.sqrt(plan.m) * max(opts.epsilon, 1.0)
-
     d2 = plan.rho.astype(float) ** 2 if opts.noise_model == "weighted" else np.ones(plan.m)
+    viol_tol = opts.dual_tol * (lp_norm(np.sqrt(d2) * y, 2) + radius)
+
     lin, w, ybar, spread = _merge_draws(plan, y, d2)
     if np.sqrt(spread) - radius > viol_tol:
         raise ValueError(

@@ -266,7 +266,7 @@ def test_cmd_reconstruct_phantom_regression(tmp_path):
     out = tmp_path / "rec"
     code = main(["reconstruct", "--image", str(img_path), "--density", "inv-square",
                  "--m", "410", "--seed", "100", "--out", str(out),
-                 "--primal-tol", "1e-8", "--dual-tol", "1e-8"])
+                 "--primal-tol", "1e-8"])
     assert code == 0
     with open(out / "error.csv") as fh:
         rows = {r["quantity"]: float(r["value"]) for r in csv.DictReader(fh)}
@@ -300,7 +300,6 @@ def test_cmd_reconstruct_rejects_nan_eps(tmp_path):
 
 @pytest.mark.parametrize("flag, value, field", [
     ("--primal-tol", "nan", "primal_tol"), ("--max-iters", "-5", "max_iters"),
-    ("--dual-tol", "-1", "dual_tol"),
 ])
 def test_cmd_reconstruct_rejects_bad_solver_options(tmp_path, capsys, flag, value, field):
     img_path = tmp_path / "in.pgm"
@@ -325,6 +324,7 @@ def test_cmd_reconstruct_rejects_nonfinite_plan(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("j,k1,k2\n0,0,0\n", "no rho column"), ("j,k2,rho\n0,0,1.0\n", "no k1 column"),
     ("", "no k1/k2/rho column"), ("j,k1,k2,rho\n0,0,0\n", "float"),
+    ("j,k1,k2,rho\n", "m = 0"),
 ])
 def test_cmd_reconstruct_rejects_malformed_plan_csv(tmp_path, capsys, text, message):
     img_path = tmp_path / "in.pgm"
@@ -577,6 +577,32 @@ def test_cmd_sweep_parallel_matches_serial(tmp_path):
     assert main(args + ["--out", str(out1), "--jobs", "1"]) == 0
     assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
     assert file_hash(out1 / "sweep.csv") == file_hash(out2 / "sweep.csv")
+
+
+def test_cmd_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # the pool is faked, so no process starts: fork would start every requested worker
+    import concurrent.futures
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    workers = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    assert main(["sweep", "--image", str(img_path), "--alphas", "0,2", "--m", "60",
+                 "--max-iters", "100", "--jobs", "64", "--out", str(tmp_path / "sw")]) == 0
+    assert workers == [2]
 
 
 # ---------------------------------------------------------------------------

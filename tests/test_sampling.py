@@ -252,6 +252,13 @@ def test_plan_rejects_bad_rho(bad):
         SamplingPlan(n=8, freqs=np.array([[0, 0], [1, 2], [-3, 4]]), rho=rho)
 
 
+@pytest.mark.parametrize("freqs", [np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int)])
+def test_plan_rejects_an_empty_plan(freqs):
+    # an empty plan would report a converged solve of nothing
+    with pytest.raises(ValueError, match="m = 0"):
+        SamplingPlan(n=8, freqs=freqs, rho=np.zeros(0))
+
+
 def test_plan_rejects_a_bad_freqs_shape_or_rho_length():
     with pytest.raises(ValueError, match=r"freqs must be an \(m, 2\) array"):
         SamplingPlan(n=8, freqs=np.zeros((3, 3), dtype=int), rho=np.ones(3))

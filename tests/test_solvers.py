@@ -32,6 +32,12 @@ def relative_error(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
+def data_scale(y, plan, opts):
+    """S = ||d o y|| + eps sqrt(m), the scale of the solver's feasibility tolerance dual_tol * S."""
+    d = plan.rho if opts.noise_model == "weighted" else 1.0
+    return np.linalg.norm(d * y) + opts.epsilon * np.sqrt(plan.m)
+
+
 # ---------------------------------------------------------------------------
 # exact identities
 
@@ -276,6 +282,37 @@ def test_solver_rejects_disagreeing_duplicates():
         tv_min_reconstruct(y, plan)
 
 
+@functools.cache
+def _witness():
+    """The default-stop witness's plan and clean data: rect_phantom(64), inverse-square,
+    m 819, plan seed 0; 406 of the 819 draws are distinct."""
+    plan = draw_plan(density_inverse_square(64), 819, seed=0)
+    return plan, partial_dft(rect_phantom(64), plan)
+
+
+@pytest.mark.parametrize("scale", [5e9, 2.0**40], ids=["x5e9", "x2^40"])
+@pytest.mark.parametrize("solve", [tv_min_reconstruct, l1_haar_reconstruct])
+def test_feasibility_tolerance_scales_with_the_data(solve, scale):
+    # a tolerance of 1e-6 sqrt(m) took the rounding of the means of identical repeated
+    # samples (3.6e-5 at x5e9) for a disagreement and raised
+    plan, y = _witness()
+    opts = SolverOptions()
+    _, report = solve(scale * y, plan, opts)
+    assert report.converged
+    assert report.constraint_violation <= 1e-12 * data_scale(scale * y, plan, opts)
+
+
+@pytest.mark.parametrize("solve", [tv_min_reconstruct, l1_haar_reconstruct])
+def test_small_data_with_disagreeing_repeats_are_rejected(solve):
+    # eps = 0 and one draw of the most-repeated frequency off by half: infeasible at any
+    # scale, which a tolerance of 1e-6 sqrt(m) missed at x1e-6
+    plan, y = _witness()
+    y = 1e-6 * y
+    y[np.argmax(plan.lin == np.bincount(plan.lin).argmax())] *= 1.5
+    with pytest.raises(ValueError, match="repeated samples disagree"):
+        solve(y, plan)
+
+
 @pytest.mark.parametrize("n, m", [(16, 150), (64, 600)])  # n = 64 stops inside complex64
 @pytest.mark.parametrize("model", ["weighted", "unweighted"])
 def test_constraint_violation_matches_public_operator(model, n, m):
@@ -321,7 +358,7 @@ def test_solver_rejects_nonfinite_measurements(bad):
         tv_min_reconstruct(y, plan)
 
 
-@pytest.mark.parametrize("eps", [np.nan, np.inf])
+@pytest.mark.parametrize("eps", [np.nan, np.inf, True])
 def test_solver_options_reject_nonfinite_epsilon(eps):
     with pytest.raises(ValueError, match="epsilon"):
         SolverOptions(epsilon=eps)
@@ -330,8 +367,10 @@ def test_solver_options_reject_nonfinite_epsilon(eps):
 @pytest.mark.parametrize("field, value", [
     ("max_iters", 0), ("max_iters", -5), ("max_iters", 2.5), ("max_iters", "300"),
     ("max_iters", True),
-    ("primal_tol", np.nan), ("primal_tol", 0.0), ("dual_tol", -1.0), ("dual_tol", np.inf),
+    ("primal_tol", np.nan), ("primal_tol", 0.0), ("primal_tol", True),
+    ("dual_tol", -1.0), ("dual_tol", np.inf), ("dual_tol", True),
     ("step_balance", 0.0), ("step_balance", -np.inf), ("step_balance", np.nan),
+    ("step_balance", True),
 ])
 def test_solver_options_reject_bad_iteration_controls(field, value):
     with pytest.raises(ValueError, match=field):
@@ -370,8 +409,8 @@ def test_complex64_phase_stops_where_the_complex128_run_does(monkeypatch, name):
     assert abs(report.iterations - ref.iterations) <= solvers._CHECK_EVERY
     assert report.objective == pytest.approx(ref.objective, rel=1e-6)
     assert g.dtype == np.complex128
-    viol_tol = opts.dual_tol * np.sqrt(plan.m) * max(opts.epsilon, 1.0)
-    assert report.converged and report.constraint_violation <= viol_tol
+    assert report.converged
+    assert report.constraint_violation <= opts.dual_tol * data_scale(y, plan, opts)
 
 
 @pytest.mark.parametrize("solve", [tv_min_reconstruct, l1_haar_reconstruct])
@@ -421,7 +460,7 @@ def test_every_capped_solve_ends_on_a_complex128_projection(name, cap):
     assert g.dtype == np.complex128
     assert (report.iterations, report.single_iterations) == (cap, min(cap - 1, s))
     assert not report.converged
-    assert report.constraint_violation <= opts.dual_tol * np.sqrt(plan.m) * max(opts.epsilon, 1.0)
+    assert report.constraint_violation <= opts.dual_tol * data_scale(y, plan, opts)
     if opts.epsilon > 0:
         assert report.constraint_violation <= 1e-12 * opts.epsilon * np.sqrt(plan.m)
 
