@@ -75,15 +75,25 @@ def local_coherence_exact(n):
     Entry (k1 % n, k2 % n) is the supremum over all Haar atoms (the constant one exactly at DC)
     of the bivariate inner-product magnitude, from the factored 1-D tables, which are even in k
     bit for bit: an O(n^2)-memory running maximum fills indices 0..n/2; i reads min(i, n - i).
+    The quadrant is symmetric bit for bit (a transpose swaps the (0,1) and (1,0) products), so
+    the maximum runs on its upper triangle, in row blocks that stay in cache across all scales,
+    and each block's transpose fills the lower triangle.
     """
     h = n // 2 + 1
-    a0, a1 = coherence_tables_1d(n)
+    a0, a1 = (np.ascontiguousarray(a[:h].T) for a in coherence_tables_1d(n))  # a row per scale
+    a01 = np.maximum(a0, a1)
     mu = np.zeros((n, n))
     q = mu[:h, :h]
-    # blocks (0,1), (1,0), (1,1) per scale; u >= 0, so max(u0 x u1, u1 x u1) = max(u0, u1) x u1
-    for u0, u1 in zip(a0[:h].T, a1[:h].T):
-        np.maximum(q, np.multiply.outer(np.maximum(u0, u1), u1), out=q)
-        np.maximum(q, np.multiply.outer(u1, u0), out=q)
+    b = 64
+    tmp = np.empty((b, h))
+    for r in range(0, h, b):
+        blk = q[r : r + b, r:]
+        t = tmp[: len(blk), : blk.shape[1]]
+        # blocks (0,1), (1,0), (1,1) per scale; u >= 0, so max(u0 x u1, u1 x u1) = max(u0, u1) x u1
+        for u01, u0, u1 in zip(a01, a0, a1):
+            np.maximum(blk, np.multiply.outer(u01[r : r + b], u1[r:], out=t), out=blk)
+            np.maximum(blk, np.multiply.outer(u1[r : r + b], u0[r:], out=t), out=blk)
+        q[r + b :, r : r + b] = blk[:, b:].T
     q[0, 0] = max(q[0, 0], 1.0)  # constant Fourier atom vs constant Haar atom
     mu[h:, :h] = mu[h - 2 : 0 : -1, :h]
     mu[:, h:] = mu[:, h - 2 : 0 : -1]

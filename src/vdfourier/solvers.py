@@ -97,14 +97,15 @@ class SolverOptions:
     def __post_init__(self):
         if self.noise_model not in ("weighted", "unweighted"):
             raise ValueError(f"noise_model must be weighted|unweighted, got {self.noise_model!r}")
-        if isinstance(self.epsilon, bool) or not np.isfinite(self.epsilon) or self.epsilon < 0:
+        if (isinstance(self.epsilon, (bool, np.bool_)) or not np.isfinite(self.epsilon)
+                or self.epsilon < 0):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
                 or self.max_iters < 1):
             raise ValueError(f"max_iters must be an int >= 1, got {self.max_iters!r}")
         for name in ("primal_tol", "dual_tol", "step_balance"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not np.isfinite(value) or value <= 0:
+            if isinstance(value, (bool, np.bool_)) or not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 

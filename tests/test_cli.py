@@ -121,6 +121,26 @@ def test_grid_csv_with_repeats_matches_csv_writer(tmp_path):
         assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+@pytest.mark.parametrize("n", [100, 128])
+def test_grid_csv_across_assembly_blocks_matches_csv_writer(tmp_path, n):
+    # n^2 cells span several of the writer's byte blocks (the last one short when n = 100);
+    # two nan payloads, -0.0 and 0.0 repeat in every column, beside a mixed grid whose second
+    # column is all distinct and so goes row by row
+    rng = np.random.default_rng(n)
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(float)
+    pool = np.r_[-0.0, 0.0, nans, np.inf, -np.inf, rng.standard_normal(200)]
+    rep, rep2 = pool[rng.integers(0, pool.size, (2, n, n))]
+    for col in (rep, rep2):  # every column holds both zeros and both nans
+        assert set(pool[:4].view(np.int64).tolist()) <= set(col.view(np.int64).ravel().tolist())
+    labels = np.arange(n) - n // 2
+    for header, values in ((["k1", "k2", "value"], (rep,)),
+                           (["t1", "t2", "real", "imag"], (rep, rep2)),
+                           (["t1", "t2", "real", "imag"], (rep, rng.standard_normal((n, n))))):
+        _write_grid_csv(tmp_path / "grid.csv", header, labels, *values)
+        write_grid_oracle(tmp_path / "want.csv", header, labels, *values)
+        assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_grid_csv_all_distinct_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(3)
     labels = np.arange(16)

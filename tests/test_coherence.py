@@ -133,6 +133,15 @@ def test_local_coherence_quadrant_mirror_matches_the_full_grid(n):
 
 
 @pytest.mark.parametrize("n", [1 << p for p in range(1, 12)])
+def test_local_coherence_is_symmetric_bit_for_bit(n):
+    # the kernel runs the maximum on the upper triangle and transposes it into the lower one, so
+    # the full-grid running maximum, which never uses the symmetry, must have it already
+    for mu in (local_coherence_exact(n), local_coherence_full_grid(n)):
+        bits = mu.view(np.int64)
+        assert np.array_equal(bits, bits.T)
+
+
+@pytest.mark.parametrize("n", [1 << p for p in range(1, 12)])
 def test_coherence_tables_are_even_bit_for_bit(n):
     # storage index i holds frequency k and index n - i holds -k; the Nyquist index n/2 is its own mirror
     idx = np.r_[0 : n // 2 + 1, n // 2 - 1 : 0 : -1]

@@ -358,7 +358,7 @@ def test_solver_rejects_nonfinite_measurements(bad):
         tv_min_reconstruct(y, plan)
 
 
-@pytest.mark.parametrize("eps", [np.nan, np.inf, True])
+@pytest.mark.parametrize("eps", [np.nan, np.inf, True, np.True_])
 def test_solver_options_reject_nonfinite_epsilon(eps):
     with pytest.raises(ValueError, match="epsilon"):
         SolverOptions(epsilon=eps)
@@ -367,10 +367,10 @@ def test_solver_options_reject_nonfinite_epsilon(eps):
 @pytest.mark.parametrize("field, value", [
     ("max_iters", 0), ("max_iters", -5), ("max_iters", 2.5), ("max_iters", "300"),
     ("max_iters", True),
-    ("primal_tol", np.nan), ("primal_tol", 0.0), ("primal_tol", True),
-    ("dual_tol", -1.0), ("dual_tol", np.inf), ("dual_tol", True),
+    ("primal_tol", np.nan), ("primal_tol", 0.0), ("primal_tol", True), ("primal_tol", np.True_),
+    ("dual_tol", -1.0), ("dual_tol", np.inf), ("dual_tol", True), ("dual_tol", np.True_),
     ("step_balance", 0.0), ("step_balance", -np.inf), ("step_balance", np.nan),
-    ("step_balance", True),
+    ("step_balance", True), ("step_balance", np.True_),
 ])
 def test_solver_options_reject_bad_iteration_controls(field, value):
     with pytest.raises(ValueError, match=field):
