@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .coherence import (
-    kappa_l2,
     kappa_prime_table,
     kappa_table,
     local_coherence_exact,
@@ -191,8 +190,7 @@ def cmd_coherence(args):
         _write_grid_csv(out / f"{name}.csv", ["k1", "k2", "value"], freq_values(n), table)
 
     uni = univariate_coherence_bound_check(n)
-    l2k = kappa_l2(n, "kappa")
-    l2kp = kappa_l2(n, "kappa_prime")
+    l2k, l2kp = (float(np.sqrt((table**2).sum())) for table in (kap, kapp))  # as kappa_l2
     checks = [
         _check_row("local_coherence <= kappa", 0.0, float((mu - kap).max()), (mu <= kap).all()),
         _check_row("kappa <= kappa_prime", 0.0, float((kap - kapp).max()),

@@ -95,8 +95,10 @@ def local_coherence_exact(n):
             np.maximum(blk, np.multiply.outer(u1[r : r + b], u0[r:], out=t), out=blk)
         q[r + b :, r : r + b] = blk[:, b:].T
     q[0, 0] = max(q[0, 0], 1.0)  # constant Fourier atom vs constant Haar atom
+    # mirrors k -> n - k; no source overlaps its target, so numpy copies none of them first
     mu[h:, :h] = mu[h - 2 : 0 : -1, :h]
-    mu[:, h:] = mu[:, h - 2 : 0 : -1]
+    mu[:h, h:] = mu[h:, :h].T
+    mu[h:, h:] = mu[h - 2 : 0 : -1, h:]
     return mu
 
 

@@ -47,13 +47,18 @@ def gradient(f, out=None):
     Forward differences with no wraparound, dx[t1, t2] = f[t1+1, t2] - f[t1, t2] and
     dy[t1, t2] = f[t1, t2+1] - f[t1, t2]; the last row of ``dx`` and the last column of ``dy``
     are zero. A constant image maps to zeros, and ||gradient(f)||^2 <= 8 ||f||^2.
-    ``out`` ((2, n, n), of the image's dtype) receives the field when given; its pads are zeroed.
+    ``out`` (C-contiguous (2, n, n), of the image's dtype) receives the field when given; its
+    pads are zeroed. dy runs over the flat image (faster than 2-D column slices), which writes
+    row-crossing differences into its pads before they are zeroed.
     """
     f = as_image(f)
     n = f.shape[0]
     d = np.empty((2, n, n), dtype=f.dtype) if out is None else out
+    if not d.flags.c_contiguous:
+        raise ValueError("gradient needs a C-contiguous out")
     np.subtract(f[1:], f[:-1], out=d[0, :-1])
-    np.subtract(f[:, 1:], f[:, :-1], out=d[1, :, :-1])
+    flat = f.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=d[1].reshape(-1)[:-1])
     d[0, -1] = 0
     d[1, :, -1] = 0
     return d

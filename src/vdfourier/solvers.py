@@ -17,19 +17,21 @@ primal step, so every reported iterate is feasible (the relaxed one may leave
 the ball if eps > 0), and the one dual block lives on the range of the gradient
 (TV) or the Haar transform, whose closed-form norms L = sqrt(8) and 1 set the steps
 tau = 1/(omega*L) and sigma = omega/L. The primal weight omega adapts, so the iteration
-count depends little on the scale of the data. Each epoch ends with PDLP's update
-omega <- sqrt(omega ||dq|| / ||dg||) (Applegate et al. 2021, arXiv 2106.04756), (dg, dq)
+count depends little on the scale of the data. Each epoch ends with PDLP's update without its
+half-log smoothing, omega <- ||dq|| / ||dg|| (Applegate et al. 2021, arXiv 2106.04756), (dg, dq)
 the move since the last update, when the residual r = sqrt(omega ||gt - g||^2 +
 ||qt - q||^2 / omega), taken at an epoch's first iteration (r0) and at each check, is
 <= 0.2 r0 or the epoch has run 0.36 of all iterations (two of r2HPDHG's restart rules,
-Lu & Yang 2024, arXiv 2407.16144). The iterates are not moved. The solve stops when the
-objective changes by at most ``primal_tol`` between two checks; the data fit of the
+Lu & Yang 2024, arXiv 2407.16144). The iterates are not moved. TV solves also take a type-II
+Anderson step (Walker & Ni 2011) every 10th iteration from their last 6 moves, and clear that
+memory after each step, at each weight update and at the precision switch. The solve stops
+when the objective changes by at most ``primal_tol`` between two checks; the data fit of the
 returned image is then measured once, with ``dft2_forward``, independently of the
-projection. Each PDHG state z = (g, q) (the iterate, the trial point, the move and the
-restart reference) is one array made once per precision phase, so the move, the relaxation
-and the restart copy are one operation each; every iteration runs in them through the
-``out`` arguments of the FFT pair, the projection and the transforms, with the operations
-and their order of the allocating calls, so the iterates are bit for bit those of the
+projection. Each PDHG state z = (g, q) (the iterate, the trial point, the restart reference
+and each slot of the ring of moves) is one array made once per precision phase, so the move,
+the relaxation and the restart copy are one operation each; every iteration runs in them
+through the ``out`` arguments of the FFT pair, the projection and the transforms, with the
+operations and their order of the allocating calls, so the iterates are bit for bit those of the
 allocating form. For n >= 64 they start in complex64 and are copied once to complex128 at the
 first check whose objective change is <= max(1e-4, ``primal_tol``), or after ``max_iters - 1``
 iterations; only complex128 checks stop a solve, and the last iteration always runs in
@@ -70,6 +72,11 @@ _RESTART_ARTIFICIAL = 0.36
 # objective changes by at most this much: alone it stalls 2e-6-1.2e-5 above optimum
 _SINGLE_MIN_N = 64
 _SINGLE_UNTIL = 1e-4
+# TV solves take an Anderson step every _AA_EVERY iterations from the differences of their
+# last _AA_MEMORY + 1 moves; _AA_EVERY > _AA_MEMORY, so the move slot a check writes its
+# objective into is overwritten before a step reads it
+_AA_EVERY = 10
+_AA_MEMORY = 5
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,8 @@ class SolverReport:
     loop with ``dft2_forward`` independently of the projection; ``newton_steps``: the Newton
     evaluations of phi summed over every data-ball projection of the solve;
     ``primal_weight``: the final omega; ``weight_updates``: the number of epochs ended;
-    ``single_iterations``: the complex64 ones, at most ``iterations - 1`` when n >= 64, 0 below.
+    ``single_iterations``: the complex64 ones, at most ``iterations - 1`` when n >= 64, 0 below;
+    ``aa_steps``: the Anderson steps taken (TV only; 0 for Haar).
     """
 
     iterations: int
@@ -134,6 +142,7 @@ class SolverReport:
     primal_weight: float
     weight_updates: int
     single_iterations: int
+    aa_steps: int
 
 
 def _project_ball(v, lin, w, ybar, r, t, out):
@@ -188,17 +197,54 @@ def _merge_draws(plan, y, d2):
     return lin, w, ybar, spread
 
 
-def _solve(y, plan, opts, k1, k1t, lip):
+def _anderson_step(z, moves, newest, weight):
+    """Type-II Anderson step (Walker & Ni 2011) on the PDHG state z from a full ring of moves.
+
+    With m_0 .. m_k the moves oldest first (m_k in slot ``newest``), gamma minimizes
+    ||m_k - sum_j gamma_j (m_{j+1} - m_j)|| in the omega-metric (g by sqrt(omega), q by
+    1/sqrt(omega)) with a 1e-10 trace ridge, and z <- z - sum_j gamma_j m_{j+1}. The differences
+    overwrite the ring. Returns 1, or 0 (no step) if the trace is not positive and finite or
+    gamma is not finite.
+    """
+    k = len(moves) - 1
+    order = [(newest + 1 + i) % (k + 1) for i in range(k + 1)]  # oldest first
+    for a, b in zip(order, order[1:]):
+        np.subtract(moves[b], moves[a], out=moves[a])  # d_j = m_{j+1} - m_j in m_j's slot
+    rows = moves.view(moves.real.dtype)  # real and imaginary parts side by side
+    g_rows, q_rows = rows[:, 0].reshape(k + 1, -1), rows[:, 1:].reshape(k + 1, -1)
+    gram = weight * (g_rows @ g_rows.T) + (q_rows @ q_rows.T) / weight
+    gram = gram.astype(float)[np.ix_(order, order)]
+    trace = np.trace(gram[:k, :k])
+    if not 0 < trace < np.inf:
+        return 0
+    gamma = np.linalg.solve(gram[:k, :k] + 1e-10 * trace * np.eye(k), gram[:k, k])
+    if not np.isfinite(gamma).all():
+        return 0
+    # m_{j+1} = m_k - (d_{j+1} + ... + d_{k-1}), so sum_j gamma_j m_{j+1} is
+    # (sum_j gamma_j) m_k - sum_{i >= 1} (gamma_0 + ... + gamma_{i-1}) d_i
+    coef = np.zeros(k + 1)
+    coef[order[1:k]] = -np.cumsum(gamma)[: k - 1]
+    coef[order[k]] = gamma.sum()
+    flat = z.view(rows.dtype).reshape(-1)
+    flat -= coef.astype(rows.dtype) @ rows.reshape(k + 1, -1)
+    return 1
+
+
+def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
     """PDHG for min ||k1(g)||_1 s.t. ||d o (F_Omega g - y)|| <= eps*sqrt(m).
 
     The dual q is one array shaped like k1(g) (``k1`` has norm <= ``lip``; ``k1`` and ``k1t``
     take an ``out`` array, which they fill without reading it). An iteration sets
     gt = P_C(g - tau*k1t(q)) (P_C: data-ball projection), qt = clip(q + sigma*k1(2*gt - g)),
-    and z += _RELAX*(zt - z) for z = (g, q) and zt = (gt, qt), one array each. A check writes
-    k1(gt) into the spent move, so the loop exits with its last trial point (gt, qt) intact,
-    made in complex128. Checks, report and result use the feasible gt; the relaxed anchor g may
-    leave the ball when eps > 0. The merged means are rotated once into the frame of the
-    unphased FFT, where P_C works; the result's fit is measured with the phased ``dft2_forward``.
+    and z += _RELAX*(zt - z) for z = (g, q) and zt = (gt, qt), one array each; the move is
+    written into the next slot of a ring. With ``anderson``, the ring holds _AA_MEMORY + 1
+    moves, and every _AA_EVERY-th iteration whose ring was filled since it was last cleared
+    takes an :func:`_anderson_step` on z; the ring is cleared after each step and at each weight
+    update. A check writes k1(gt) into the spent move, so the loop exits with its last trial
+    point (gt, qt) intact, made in complex128. Checks, report and result use the feasible gt;
+    the relaxed anchor g may leave the ball when eps > 0. The merged means are rotated once into
+    the frame of the unphased FFT, where P_C works; the result's fit is measured with the phased
+    ``dft2_forward``.
     """
     opts = opts or SolverOptions()
     y = _measurements(y, plan)
@@ -218,7 +264,8 @@ def _solve(y, plan, opts, k1, k1t, lip):
 
     qshape = k1(np.zeros((n, n), dtype=np.complex128)).shape  # (2, n, n) TV, (n*n,) Haar
     # made once per phase in its precision, image plane first: the state z = (g, q), the trial
-    # point zt = (gt, qt), the move dz = zt - z and z_ref, the state at the last weight update
+    # point zt = (gt, qt), z_ref, the state at the last weight update, and a ring of the last
+    # moves dz = zt - z (one slot without Anderson steps)
     z = np.zeros((1 + math.prod(qshape) // n**2, n, n), dtype=np.complex128)
     zt = np.zeros_like(z)
     t_ball, newton_steps = _project_ball(zt[0], lin, w, ybar_u, radius_distinct, 0.0, z[0])
@@ -226,18 +273,21 @@ def _solve(y, plan, opts, k1, k1t, lip):
     phases = ([(np.complex64, max(_SINGLE_UNTIL, opts.primal_tol), opts.max_iters - 1)]
               if n >= _SINGLE_MIN_N else [])
 
+    slots = _AA_MEMORY + 1 if anderson else 1
     weight = float(opts.step_balance)
-    updates = it = 0
+    updates = aa_steps = it = 0
     start = 1  # first iteration of the current epoch
     for dtype, tol, last in phases + [(np.complex128, opts.primal_tol, opts.max_iters)]:
         single_iterations = it  # the last phase is the complex128 one
         z, zt, z_ref = (a.astype(dtype) for a in (z, zt, z_ref))
-        dz = np.empty_like(z)
+        moves = np.empty((slots,) + z.shape, dtype=dtype)
         (g, q), (gt, qt) = ((a[0], a[1:].reshape(qshape)) for a in (z, zt))
-        step = dz[0]  # the primal step, then 2*gt - g, until the move overwrites it
         mag = np.empty(qshape, dtype=z.real.dtype)  # the dual step's modulus
         obj_prev = rel_change = np.inf  # no stop before two checks of this phase
+        stored = 0  # moves in the ring since it was last cleared
         for it in range(it + 1, last + 1):
+            dz = moves[it % slots]
+            step = dz[0]  # the primal step, then 2*gt - g, until the move overwrites it
             tau, sigma = 1.0 / (weight * lip), weight / lip
             np.multiply(tau, k1t(q, out=step), out=step)
             np.subtract(g, step, out=step)  # g - tau*k1t(q)
@@ -253,6 +303,7 @@ def _solve(y, plan, opts, k1, k1t, lip):
             np.divide(1.0, mag, out=mag)
             qt *= mag
             np.subtract(zt, z, out=dz)
+            stored += 1
             check = it % _CHECK_EVERY == 0
             if it == start or check:
                 r = np.sqrt(weight * lp_norm(dz[0], 2) ** 2 + lp_norm(dz[1:], 2) ** 2 / weight)
@@ -260,14 +311,18 @@ def _solve(y, plan, opts, k1, k1t, lip):
                     r0 = r
                 elif r <= _RESTART_SUFFICIENT * r0 or it - start + 1 >= _RESTART_ARTIFICIAL * it:
                     dg, dq = lp_norm(zt[0] - z_ref[0], 2), lp_norm(zt[1:] - z_ref[1:], 2)
-                    # 1/2-log smoothing of dq/dg; weight and lip are Python floats, since an
+                    # the full ratio dq/dg; weight and lip are Python floats, since an
                     # np.float64 step would run the complex64 products in complex128
                     if dg > 0 and dq > 0:
-                        weight = math.sqrt(weight * dq / dg)
+                        weight = dq / dg
                     np.copyto(z_ref, zt)
                     updates += 1
                     start = it + 1
+                    stored = 0  # no step mixes moves made under two weights
             z += np.multiply(_RELAX, dz, out=dz)
+            if anderson and stored >= slots and it % _AA_EVERY == 0:
+                aa_steps += _anderson_step(z, moves, it % slots, weight)
+                stored = 0  # nor extrapolates across an earlier step
             if check:
                 obj = lp_norm(k1(gt, out=dz[1:].reshape(qshape)), 1)
                 rel_change = abs(obj - obj_prev) / max(abs(obj), 1e-30)
@@ -288,6 +343,7 @@ def _solve(y, plan, opts, k1, k1t, lip):
         primal_weight=float(weight),
         weight_updates=updates,
         single_iterations=single_iterations,
+        aa_steps=aa_steps,
     )
 
 
@@ -297,7 +353,8 @@ def tv_min_reconstruct(y, plan, opts=None):
     Returns the reconstructed image and a :class:`SolverReport`;
     non-convergence within ``max_iters`` is reported, never raised.
     """
-    return _solve(y, plan, opts, gradient, gradient_adjoint, math.sqrt(8.0))  # ||grad||^2 <= 8
+    return _solve(y, plan, opts, gradient, gradient_adjoint, math.sqrt(8.0),  # ||grad||^2 <= 8
+                  anderson=True)
 
 
 def l1_haar_reconstruct(y, plan, opts=None):

@@ -207,6 +207,18 @@ def test_local_coherence_memory_is_quadratic():
     assert peak <= 4 * n * n * 8
 
 
+def test_local_coherence_mirrors_copy_no_source():
+    # 8 MiB of result and its 1-D tables; the column mirror mu[:, h:] = mu[:, h - 2 : 0 : -1]
+    # overlapped its source, which numpy copied first: 12.4 MiB
+    tracemalloc.start()
+    try:
+        local_coherence_exact(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2**20  # 8.6 MiB
+
+
 def test_local_coherence_symmetries():
     n = 32
     mu = local_coherence_exact(n)

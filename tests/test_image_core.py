@@ -71,6 +71,13 @@ def test_gradient_adjoint_rejects_a_strided_out():
         gradient_adjoint(np.zeros((2, 8, 8), dtype=complex), out=out)
 
 
+def test_gradient_rejects_a_strided_out():
+    # dy is written through a flat view of out's second plane, which a strided out lacks
+    out = np.zeros((2, 8, 16), dtype=complex)[:, :, ::2]
+    with pytest.raises(ValueError, match="C-contiguous out"):
+        gradient(np.zeros((8, 8), dtype=complex), out=out)
+
+
 def test_tv_constant_is_zero():
     assert tv_norm(np.full((8, 8), 2.5)) == 0.0
 

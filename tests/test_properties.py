@@ -134,6 +134,25 @@ def test_gradient_adjoint_is_the_slice_form_bit_for_bit(p, seed, zeros, dtype):
 
 
 @PROPERTY
+@given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.9),
+       dtype=st.sampled_from([np.complex128, np.complex64]))
+def test_gradient_is_the_slice_form_bit_for_bit(p, seed, zeros, dtype):
+    # the slice form: dx and dy over 2-D slices, then zero pads; ``out`` starts with garbage
+    n = 1 << p
+    rng = np.random.default_rng(seed)
+    f = random_complex(seed, (n, n)).astype(dtype)
+    f.real[rng.random(f.shape) < zeros] = 0.0
+    f.imag[rng.random(f.shape) < zeros] = -0.0
+    want = np.zeros((2, n, n), dtype=dtype)
+    want[0, :-1] = f[1:] - f[:-1]
+    want[1, :, :-1] = f[:, 1:] - f[:, :-1]
+    got = gradient(f, out=random_complex(seed + 1, (2, n, n)).astype(dtype))
+    assert got.dtype == dtype
+    got, want = (a.view(a.real.dtype) for a in (got, want))  # real and imaginary parts
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@PROPERTY
 @given(p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), mix=st.floats(0.0, 1.0))
 def test_gradient_pads_are_zero_and_norm_is_at_most_sqrt8(p, seed, mix):
     n = 1 << p
