@@ -22,20 +22,22 @@ half-log smoothing, omega <- ||dq|| / ||dg|| (Applegate et al. 2021, arXiv 2106.
 the move since the last update, when the residual r = sqrt(omega ||gt - g||^2 +
 ||qt - q||^2 / omega), taken at an epoch's first iteration (r0) and at each check, is
 <= 0.2 r0 or the epoch has run 0.36 of all iterations (two of r2HPDHG's restart rules,
-Lu & Yang 2024, arXiv 2407.16144). The iterates are not moved. TV solves also take a type-II
-Anderson step (Walker & Ni 2011) every 10th iteration from their last 6 moves, and clear that
-memory after each step, at each weight update and at the precision switch. The solve stops
-when the objective changes by at most ``primal_tol`` between two checks; the data fit of the
-returned image is then measured once, with ``dft2_forward``, independently of the
-projection. Each PDHG state z = (g, q) (the iterate, the trial point, the restart reference
-and each slot of the ring of moves) is one array made once per precision phase, so the move,
-the relaxation and the restart copy are one operation each; every iteration runs in them
-through the ``out`` arguments of the FFT pair, the projection and the transforms, with the
-operations and their order of the allocating calls, so the iterates are bit for bit those of the
-allocating form. For n >= 64 they start in complex64 and are copied once to complex128 at the
-first check whose objective change is <= max(1e-4, ``primal_tol``), or after ``max_iters - 1``
-iterations; only complex128 checks stop a solve, and the last iteration always runs in
-complex128. The draws, the Newton scalar, the objective and the norms stay in float64.
+Lu & Yang 2024, arXiv 2407.16144). The iterates are not moved. Every 10th iteration, TV solves
+also mix their last 6 moves (Anderson 1965; the type-II step of Walker & Ni 2011): weights that
+sum to 1 solve a 6 x 6 system, and the state moves to that combination of the states after each
+move. The memory is cleared at each weight update and at the precision switch; steps are 10
+iterations apart, so each reads only moves made after the previous one. The solve stops when the
+objective changes by at most ``primal_tol`` between two checks; the data fit of the returned
+image is then measured once, with ``dft2_forward``, independently of the projection. Each PDHG
+state z = (g, q) (the iterate, the trial point, the restart reference and each slot of the ring
+of moves) is one array made once per precision phase, so the move, the relaxation and the
+restart copy are one operation each; every iteration runs in them through the ``out`` arguments
+of the FFT pair, the projection and the transforms, with the operations and their order of the
+allocating calls, so the iterates are bit for bit those of the allocating form. For n >= 64 they
+start in complex64 and are copied once to complex128 at the first check whose objective change
+is <= max(1e-4, ``primal_tol``), or after ``max_iters - 1`` iterations; only complex128 checks
+stop a solve, and the last iteration always runs in complex128. The draws, the Newton scalar,
+the objective and the norms stay in float64.
 """
 
 import math
@@ -72,11 +74,10 @@ _RESTART_ARTIFICIAL = 0.36
 # objective changes by at most this much: alone it stalls 2e-6-1.2e-5 above optimum
 _SINGLE_MIN_N = 64
 _SINGLE_UNTIL = 1e-4
-# TV solves take an Anderson step every _AA_EVERY iterations from the differences of their
-# last _AA_MEMORY + 1 moves; _AA_EVERY > _AA_MEMORY, so the move slot a check writes its
-# objective into is overwritten before a step reads it
+# TV solves mix their last _AA_MOVES moves every _AA_EVERY >= _AA_MOVES iterations, so a step
+# reads no move made before the previous step, nor the slot a check wrote its objective into
 _AA_EVERY = 10
-_AA_MEMORY = 5
+_AA_MOVES = 6
 
 
 @dataclass(frozen=True)
@@ -198,35 +199,28 @@ def _merge_draws(plan, y, d2):
 
 
 def _anderson_step(z, moves, newest, weight):
-    """Type-II Anderson step (Walker & Ni 2011) on the PDHG state z from a full ring of moves.
+    """Anderson mixing (Anderson 1965) of the PDHG state z from a full ring of moves.
 
-    With m_0 .. m_k the moves oldest first (m_k in slot ``newest``), gamma minimizes
-    ||m_k - sum_j gamma_j (m_{j+1} - m_j)|| in the omega-metric (g by sqrt(omega), q by
-    1/sqrt(omega)) with a 1e-10 trace ridge, and z <- z - sum_j gamma_j m_{j+1}. The differences
-    overwrite the ring. Returns 1, or 0 (no step) if the trace is not positive and finite or
-    gamma is not finite.
+    With m_0 .. m_k the moves oldest first (m_k in slot ``newest``) and z_i the state after m_i,
+    the alpha summing to 1 that minimize ||sum_i alpha_i m_i|| in the omega-metric (g by
+    sqrt(omega), q by 1/sqrt(omega)) are a / sum(a) for (G + 1e-10 tr(G) I) a = 1, G the moves'
+    Gram, and z = z_k moves to sum_i alpha_i z_i = z - sum_{i >= 1} (alpha_0 + ... + alpha_{i-1})
+    m_i: the type-II step of Walker & Ni (2011) but for the ridge. The ring is not written.
+    Returns 1, or 0 (no step) if the trace is not positive and finite.
     """
-    k = len(moves) - 1
-    order = [(newest + 1 + i) % (k + 1) for i in range(k + 1)]  # oldest first
-    for a, b in zip(order, order[1:]):
-        np.subtract(moves[b], moves[a], out=moves[a])  # d_j = m_{j+1} - m_j in m_j's slot
+    k = len(moves)
     rows = moves.view(moves.real.dtype)  # real and imaginary parts side by side
-    g_rows, q_rows = rows[:, 0].reshape(k + 1, -1), rows[:, 1:].reshape(k + 1, -1)
-    gram = weight * (g_rows @ g_rows.T) + (q_rows @ q_rows.T) / weight
-    gram = gram.astype(float)[np.ix_(order, order)]
-    trace = np.trace(gram[:k, :k])
+    g_rows, q_rows = rows[:, 0].reshape(k, -1), rows[:, 1:].reshape(k, -1)
+    gram = (weight * (g_rows @ g_rows.T) + (q_rows @ q_rows.T) / weight).astype(float)
+    trace = np.trace(gram)
     if not 0 < trace < np.inf:
         return 0
-    gamma = np.linalg.solve(gram[:k, :k] + 1e-10 * trace * np.eye(k), gram[:k, k])
-    if not np.isfinite(gamma).all():
-        return 0
-    # m_{j+1} = m_k - (d_{j+1} + ... + d_{k-1}), so sum_j gamma_j m_{j+1} is
-    # (sum_j gamma_j) m_k - sum_{i >= 1} (gamma_0 + ... + gamma_{i-1}) d_i
-    coef = np.zeros(k + 1)
-    coef[order[1:k]] = -np.cumsum(gamma)[: k - 1]
-    coef[order[k]] = gamma.sum()
+    a = np.linalg.solve(gram + 1e-10 * trace * np.eye(k), np.ones(k))
+    order = [(newest + 1 + i) % k for i in range(k)]  # oldest first
+    coef = np.zeros(k)
+    coef[order[1:]] = np.cumsum(a[order])[:-1] / a.sum()
     flat = z.view(rows.dtype).reshape(-1)
-    flat -= coef.astype(rows.dtype) @ rows.reshape(k + 1, -1)
+    flat -= coef.astype(rows.dtype) @ rows.reshape(k, -1)
     return 1
 
 
@@ -237,10 +231,10 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
     take an ``out`` array, which they fill without reading it). An iteration sets
     gt = P_C(g - tau*k1t(q)) (P_C: data-ball projection), qt = clip(q + sigma*k1(2*gt - g)),
     and z += _RELAX*(zt - z) for z = (g, q) and zt = (gt, qt), one array each; the move is
-    written into the next slot of a ring. With ``anderson``, the ring holds _AA_MEMORY + 1
-    moves, and every _AA_EVERY-th iteration whose ring was filled since it was last cleared
-    takes an :func:`_anderson_step` on z; the ring is cleared after each step and at each weight
-    update. A check writes k1(gt) into the spent move, so the loop exits with its last trial
+    written into the next slot of a ring. With ``anderson``, the ring holds _AA_MOVES moves, and
+    every _AA_EVERY-th iteration whose ring was filled since it was last cleared (at each weight
+    update and at the precision switch) mixes them into z by :func:`_anderson_step`. A check
+    writes k1(gt) into the spent move, so the loop exits with its last trial
     point (gt, qt) intact, made in complex128. Checks, report and result use the feasible gt;
     the relaxed anchor g may leave the ball when eps > 0. The merged means are rotated once into
     the frame of the unphased FFT, where P_C works; the result's fit is measured with the phased
@@ -273,7 +267,7 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
     phases = ([(np.complex64, max(_SINGLE_UNTIL, opts.primal_tol), opts.max_iters - 1)]
               if n >= _SINGLE_MIN_N else [])
 
-    slots = _AA_MEMORY + 1 if anderson else 1
+    slots = _AA_MOVES if anderson else 1
     weight = float(opts.step_balance)
     updates = aa_steps = it = 0
     start = 1  # first iteration of the current epoch
@@ -322,7 +316,6 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
             z += np.multiply(_RELAX, dz, out=dz)
             if anderson and stored >= slots and it % _AA_EVERY == 0:
                 aa_steps += _anderson_step(z, moves, it % slots, weight)
-                stored = 0  # nor extrapolates across an earlier step
             if check:
                 obj = lp_norm(k1(gt, out=dz[1:].reshape(qshape)), 1)
                 rel_change = abs(obj - obj_prev) / max(abs(obj), 1e-30)

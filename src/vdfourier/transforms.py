@@ -51,8 +51,11 @@ def freq_values(n):
 
 def _capped_inverse(scale, x):
     """min(1, scale / x) for x >= 0, with 1 where x = 0: the cap of every decay rule."""
-    x = np.asarray(x, dtype=float)
-    return np.minimum(1.0, np.divide(scale, x, out=np.full_like(x, np.inf), where=x > 0))
+    out = np.array(x, dtype=float)  # one private copy, written in place
+    pos = out > 0
+    np.divide(scale, out, out=out, where=pos)
+    out[~pos] = 1.0
+    return np.minimum(1.0, out, out=out)[()]  # [()]: a scalar for scalar x
 
 
 def freq_to_index(k1, k2, n):

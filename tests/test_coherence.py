@@ -219,6 +219,18 @@ def test_local_coherence_mirrors_copy_no_source():
     assert peak <= 9 * 2**20  # 8.6 MiB
 
 
+def test_kappa_table_builds_in_one_copy_of_its_grid():
+    # the 8 MiB grid, the 8 MiB result written in place and two 1 MiB masks: 18.0 MiB; a third
+    # full array (24.0 MiB) fails
+    tracemalloc.start()
+    try:
+        kappa_table(1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20  # 18.0 MiB
+
+
 def test_local_coherence_symmetries():
     n = 32
     mu = local_coherence_exact(n)

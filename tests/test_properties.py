@@ -1,5 +1,5 @@
-"""Property tests (hypothesis) for the data-ball projection, the duplicate merge,
-the discrete gradient, the lp norms, the transforms, the exact Haar reference, the isotropy
+"""Property tests (hypothesis) for the data-ball projection, the duplicate merge, the Anderson
+step, the discrete gradient, the lp norms, the transforms, the exact Haar reference, the isotropy
 identity, the partial DFT, the closed-form Fourier-Haar inner products, the grid CSV writer
 and PGM round trips."""
 
@@ -19,7 +19,7 @@ from vdfourier.coherence import (
 from vdfourier.image_core import as_image, gradient, gradient_adjoint, lp_norm
 from vdfourier.pgm import read_pgm, write_pgm
 from vdfourier.sampling import Density, SamplingPlan
-from vdfourier.solvers import _merge_draws, _project_ball
+from vdfourier.solvers import _AA_MOVES, _anderson_step, _merge_draws, _project_ball
 from vdfourier.transforms import (
     dft2_forward,
     dft2_inverse,
@@ -94,6 +94,43 @@ def test_project_ball_is_the_warm_startable_projection(p, seed, draws, w_spread,
         inside, _, _ = project(v, r / 2, 0.0)
         copy, _, evals = project(inside, r, 0.0)
         assert copy.tobytes() == inside.tobytes() and evals == 0
+
+
+# ---------------------------------------------------------------------------
+# Anderson step
+
+def anderson_type2_oracle(z, moves, newest, weight):
+    """The textbook type-II step (Walker & Ni 2011) in float64, from the moves' differences by
+    least squares in the omega-metric, without a ridge: z - sum_j gamma_j m_{j+1}."""
+    k = len(moves)
+    m = moves[[(newest + 1 + i) % k for i in range(k)]].astype(np.complex128)  # oldest first
+    v = m.copy()
+    v[:, 0] *= np.sqrt(weight)
+    v[:, 1:] /= np.sqrt(weight)
+    v = v.reshape(k, -1)
+    v = np.concatenate([v.real, v.imag], axis=1)
+    gamma = np.linalg.lstsq((v[1:] - v[:-1]).T, v[-1], rcond=None)[0]
+    return z - np.tensordot(gamma, m[1:], axes=1)
+
+
+@PROPERTY
+@given(n=st.integers(8, 32), seed=st.integers(0, 2**32 - 1), newest=st.integers(0, _AA_MOVES - 1),
+       log_weight=st.floats(-2.0, 2.0), dtype=st.sampled_from([np.complex128, np.complex64]))
+def test_anderson_step_is_the_type2_step_and_leaves_the_ring(n, seed, newest, log_weight, dtype):
+    # a ring of TV-shaped moves (g and the two dual planes); the step may not write the ring
+    weight = 10.0**log_weight
+    moves = random_complex(seed, (_AA_MOVES, 3, n, n)).astype(dtype)
+    z = random_complex(seed + 1, (3, n, n)).astype(dtype)
+    ring, start = moves.tobytes(), z.astype(np.complex128)
+    assert _anderson_step(z, moves, newest, weight) == 1
+    assert moves.tobytes() == ring and z.dtype == dtype
+    if dtype == np.complex128:
+        want = anderson_type2_oracle(start, moves, newest, weight)
+        assert np.linalg.norm(z - want) <= 1e-8 * np.linalg.norm(want - start)
+    zero = np.zeros_like(moves)
+    before = z.tobytes()
+    assert _anderson_step(z, zero, newest, weight) == 0
+    assert z.tobytes() == before and not zero.any()
 
 
 # ---------------------------------------------------------------------------
