@@ -128,7 +128,7 @@ class SolverReport:
     a residual (None until two complex128 checks have been compared); ``constraint_violation``:
     how far the returned image's data fit lies beyond the radius, measured once after the
     loop with ``dft2_forward`` independently of the projection; ``newton_steps``: the Newton
-    evaluations of phi summed over every data-ball projection of the solve;
+    steps on psi summed over every data-ball projection of the solve (one evaluation each);
     ``primal_weight``: the final omega; ``weight_updates``: the number of epochs ended;
     ``single_iterations``: the complex64 ones, at most ``iterations - 1`` when n >= 64, 0 below;
     ``aa_steps``: the Anderson steps taken (TV only; 0 for Haar).
@@ -151,13 +151,14 @@ def _project_ball(v, lin, w, ybar, r, t, out):
 
     F is unitary, so the unsampled spectrum is kept and, with a = (F v)[lin] - ybar,
     (F g)[lin] = ybar + a/(1 + lam*w), lam the root of phi(lam) = sum w|a|^2/(1 + lam*w)^2
-    = r^2 (v itself if phi(0) <= r^2). phi is convex decreasing and phi(lo) >= r^2 at
-    lo = (sqrt(phi(0))/r - 1)/max(w). Newton starts at max(t, lo) for a warm start ``t``
-    (the previous root): from the right of the root one step lands at or left of it
-    (clamped to lo); from the left it converges monotonically. The projection is written
-    into ``out`` (complex, shaped like v, not v itself), where the FFT pair runs in place;
-    returns ``(root, evals)`` (``t`` is passed through when no root is solved for). F is the
-    unphased FFT ``fft2_unphased``: ``ybar`` is given in its frame, so no phase is applied.
+    = r^2 (v itself if phi(0) <= r^2). Newton on psi = r/sqrt(phi) - 1 (Moré & Sorensen 1983)
+    runs from the warm start ``t`` (the previous root), clamped at 0 so 1 + lam*w > 0. psi is
+    concave increasing for lam > -1/max(w): from the right of the root a step lands at or left of
+    it, from the left Newton rises to it. The step is s*(sqrt(phi)/r - 1), s = 1/mean(w/(1 +
+    lam*w)) >= lam + 1/max(w) (mean weighted by phi's terms); one <= 1e-7*s ends it, about
+    1e-14*s from the root. The projection is written into ``out`` (complex, shaped like v, not
+    v itself), where the FFT pair runs in place; returns ``(root, evals)`` (``t`` is passed
+    through when no root is solved for). F is ``fft2_unphased``, in whose frame ``ybar`` is given.
     """
     s = fft2_unphased(v, out=out).ravel()
     if r == 0.0:
@@ -166,19 +167,18 @@ def _project_ball(v, lin, w, ybar, r, t, out):
         return t, 0
     a = s[lin] - ybar
     wa2 = w * (a.real**2 + a.imag**2) / r**2  # phi / r^2 at lam = 0, termwise
-    phi0 = wa2.sum()
-    if phi0 <= 1.0:
+    if wa2.sum() <= 1.0:
         np.copyto(out, v)
         return t, 0
-    lo = (np.sqrt(phi0) - 1.0) / w.max()
-    t = max(t, lo)
     for evals in range(1, 81):
         inv = 1.0 / (1.0 + t * w)
         terms = wa2 * inv**2
         phi = terms.sum()
-        if abs(phi - 1.0) < 1e-13:
+        scale = phi / np.dot(terms, w * inv)
+        step = scale * (np.sqrt(phi) - 1.0)  # -psi/psi'
+        t = max(t + step, 0.0)
+        if abs(step) <= 1e-7 * scale:
             break
-        t = max(t + (phi - 1.0) / (2.0 * np.dot(terms, w * inv)), lo)
     s[lin] = ybar + a / (1.0 + t * w)
     ifft2_unphased(out, out=out)
     return t, evals

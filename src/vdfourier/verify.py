@@ -94,7 +94,9 @@ def rip_monte_carlo(a, s, trials, seed=0):
 
 
 def _atom_spectra(n):
-    """Row k: the flattened :func:`dft2_forward` of the k-th Haar atom, one batched FFT."""
+    """Row k: the flattened :func:`dft2_forward` of the k-th Haar atom; dense, so n <= 16."""
+    if n > 16:
+        raise ValueError(f"dense materialization limited to n <= 16, got {n}")
     atoms = haar_matrix(side_exponent(n)).reshape(-1, n, n)
     return fft2_unphased(np.roll(atoms, 1, axis=(1, 2))).reshape(n * n, n * n)
 
@@ -106,10 +108,7 @@ def build_preconditioned_matrix(plan):
     represents g-coefficients -> normalized weighted measurements on the
     plan's grid. Dense materialization is limited to n = plan.n <= 16.
     """
-    n = plan.n
-    if n > 16:
-        raise ValueError(f"dense materialization limited to n <= 16, got {n}")
-    return (plan.rho[:, None] / np.sqrt(plan.m)) * _atom_spectra(n)[:, plan.lin].T
+    return (plan.rho[:, None] / np.sqrt(plan.m)) * _atom_spectra(plan.n)[:, plan.lin].T
 
 
 def isotropy_identity_error(density):
@@ -117,7 +116,7 @@ def isotropy_identity_error(density):
 
     A ranges over the density's full n x n frequency grid (n = density.n) with
     rho_j = nu_j ** -0.5, so the weighted Gram of the preconditioned rows must
-    be exactly the identity. Returns the max-abs deviation.
+    be exactly the identity. Returns the max-abs deviation; n > 16 is refused.
     """
     n = density.n
     nu = density.values.ravel()

@@ -242,6 +242,13 @@ def test_criterion_8_fixture_iteration_ceiling():
     assert all(r.weight_updates >= 1 and r.primal_weight != 100.0 for r in reports)
 
 
+def test_criterion_8_fixture_newton_steps_per_iteration():
+    # eps 0.1: 1085 Newton steps in 500 iterations; Newton on phi from a bracket took 1676
+    report = _criterion_8_solves(1.0)[1]
+    assert report.iterations == 500
+    assert report.newton_steps <= 2.5 * report.iterations, report
+
+
 # ---------------------------------------------------------------------------
 # options and reporting
 

@@ -151,6 +151,12 @@ def test_isotropy_identity_reads_n_from_the_density(n):
     assert isotropy_identity_error(density_inverse_square(n)) <= 1e-10
 
 
+def test_isotropy_identity_size_budget():
+    # the same dense n^2 x n^2 matrix as build_preconditioned_matrix: 268 MB a copy at n = 64
+    with pytest.raises(ValueError, match="n <= 16"):
+        isotropy_identity_error(density_inverse_square(32))
+
+
 # ---------------------------------------------------------------------------
 # wavelet lemmas
 
