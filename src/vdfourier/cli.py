@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import itertools
 import json
 import math
 import sys
@@ -78,41 +77,37 @@ def _write_csv(path, header, rows):
 def _write_grid_csv(path, header, labels, *values):
     """One row per cell of an n x n grid: its two axis labels, then each value's repr.
 
-    Same bytes as :func:`_write_csv`. A column with at most half as many distinct bit patterns as
-    cells reprs each once. If every column does, blocks of about 4096 cells are assembled as
-    bytes: each field a zero-padded byte row, the padding deleted at the end (no field holds a
-    zero byte). Other grids go row by row (O(n) objects alive).
+    Same bytes as :func:`_write_csv`, assembled in blocks of about 4096 cells: each field a byte
+    row of its repr, zero padding and its separator, the padding deleted at the end (no field
+    holds a zero byte). A column with at most half as many distinct bit patterns as cells reprs
+    each once and gathers them by rank; any other reprs only the block's cells (at most
+    max(n, 4096) strings alive).
     """
-    labels = list(map(str, labels.tolist()))
-    cols = []  # (values, None): a repr per cell; (ranks, the distinct values' reprs)
-    for bits in (np.ascontiguousarray(v, dtype=float).view(np.int64) for v in values):
+    def reprs(cells, end):  # a byte row per cell, in cells' shape: repr, zero padding, end
+        strs = list(map(repr, cells.ravel().tolist()))
+        w = max(map(len, strs)) + len(end)
+        rows = np.fromiter(strs, f"S{w}", len(strs)).view(np.uint8).reshape(-1, w)
+        rows[:, w - len(end) :] = list(end.encode())
+        return rows.reshape(*cells.shape, w)
+
+    cols = []  # (values or ranks per cell, a block of them -> its byte rows)
+    for bits, end in zip((np.ascontiguousarray(v, dtype=float).view(np.int64) for v in values),
+                         [","] * (len(values) - 1) + ["\r\n"]):
         keys = np.sort(bits, axis=None)  # bit patterns, so -0.0 and 0.0 stay apart
         keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
-        cols.append((bits.view(float), None) if 2 * keys.size > bits.size else
-                    (np.searchsorted(keys, bits), list(map(repr, keys.view(float).tolist()))))
+        cols.append((bits.view(float), functools.partial(reprs, end=end))
+                    if 2 * keys.size > bits.size else
+                    (np.searchsorted(keys, bits), reprs(keys.view(float), end).__getitem__))
+    lab = reprs(labels, ",")  # str and repr agree on ints and floats
+    n = len(lab)
+    step = max(1, 4096 // n)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        if any(strs is None for _, strs in cols):
-            for i, k1 in enumerate(labels):
-                fields = (map(repr if s is None else s.__getitem__, a[i].tolist()) for a, s in cols)
-                cells = zip(itertools.repeat(k1), labels, *fields)
-                fh.write(("\r\n".join(map(",".join, cells)) + "\r\n").encode())
-            return
-        def table(strs, end):  # one zero-padded byte row per string, the string then end
-            w = max(map(len, strs)) + len(end)
-            rows = np.fromiter((s + end for s in strs), f"S{w}", len(strs))
-            return rows.view(np.uint8).reshape(len(strs), w)
-        n = len(labels)
-        lab = table(labels, ",")
-        ends = [","] * (len(cols) - 1) + ["\r\n"]
-        tabs = [table(strs, end) for (_, strs), end in zip(cols, ends)]
-        step = max(1, 4096 // n)
         for i in range(0, n, step):
             r = min(step, n - i)
             line = np.concatenate([np.broadcast_to(lab[i : i + r, None], (r, *lab.shape)),
                                    np.broadcast_to(lab, (r, *lab.shape)),
-                                   *(t[ranks[i : i + r]] for t, (ranks, _) in zip(tabs, cols))],
-                                  axis=2)
+                                   *(field(a[i : i + r]) for a, field in cols)], axis=2)
             fh.write(line.tobytes().translate(None, b"\0"))
 
 

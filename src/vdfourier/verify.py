@@ -8,7 +8,7 @@ decay of the Haar transform relative to the TV seminorm.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -43,12 +43,18 @@ class RipEstimate:
     exhaustive: bool
 
 
-def _delta_over_supports(gram, supports):
-    """Max spectral deviation from identity over s x s Gram submatrices."""
-    supports = np.asarray(supports)
-    sub = gram[supports[:, :, None], supports[:, None, :]]
-    eig = np.linalg.eigvalsh(sub)
-    return float(np.abs(eig - 1.0).max())
+def _delta(a, s, supports):
+    """Max |eig - 1| of the s x s Gram submatrices of ``a`` over an iterable of supports.
+
+    The supports are read 4096 at a time, so memory stays flat however many there are.
+    """
+    gram = a.conj().T @ a
+    flat = chain.from_iterable(supports)
+    worst = []
+    while (idx := np.fromiter(islice(flat, 4096 * s), np.intp).reshape(-1, s)).size:
+        eig = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
+        worst.append(np.abs(eig - 1.0).max())
+    return float(np.max(worst))
 
 
 def _support_columns(a, s):
@@ -73,12 +79,8 @@ def rip_exact(a, s):
             f"C({n},{s}) = {count} supports exceeds the budget of {ENUMERATION_BUDGET}; "
             "use rip_monte_carlo for a lower bound"
         )
-    gram = a.conj().T @ a
-    supports = np.fromiter(
-        (i for comb in combinations(range(n), s) for i in comb), dtype=np.intp
-    ).reshape(count, s)
-    return RipEstimate(s=s, delta=_delta_over_supports(gram, supports), supports_checked=count,
-                       exhaustive=True)
+    return RipEstimate(s=s, delta=_delta(a, s, combinations(range(n), s)),
+                       supports_checked=count, exhaustive=True)
 
 
 def rip_monte_carlo(a, s, trials, seed=0):
@@ -87,9 +89,8 @@ def rip_monte_carlo(a, s, trials, seed=0):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    supports = np.stack([rng.choice(n, size=s, replace=False) for _ in range(trials)])
-    gram = a.conj().T @ a
-    return RipEstimate(s=s, delta=_delta_over_supports(gram, supports), supports_checked=trials,
+    supports = (rng.choice(n, size=s, replace=False) for _ in range(trials))
+    return RipEstimate(s=s, delta=_delta(a, s, supports), supports_checked=trials,
                        exhaustive=False)
 
 
@@ -120,7 +121,7 @@ def isotropy_identity_error(density):
     """
     n = density.n
     nu = density.values.ravel()
-    rho2 = 1.0 / nu
+    rho2 = np.divide(1.0, nu, out=np.zeros_like(nu), where=nu > 0)  # zero mass: never drawn
     a = _atom_spectra(n).T
     gram = a.conj().T @ ((nu * rho2)[:, None] * a)
     return float(np.abs(gram - np.eye(n * n)).max())

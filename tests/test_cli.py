@@ -125,7 +125,7 @@ def test_grid_csv_with_repeats_matches_csv_writer(tmp_path):
 def test_grid_csv_across_assembly_blocks_matches_csv_writer(tmp_path, n):
     # n^2 cells span several of the writer's byte blocks (the last one short when n = 100);
     # two nan payloads, -0.0 and 0.0 repeat in every column, beside a mixed grid whose second
-    # column is all distinct and so goes row by row
+    # column is all distinct and so is repr'd one block at a time
     rng = np.random.default_rng(n)
     nans = np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(float)
     pool = np.r_[-0.0, 0.0, nans, np.inf, -np.inf, rng.standard_normal(200)]
@@ -151,8 +151,9 @@ def test_grid_csv_all_distinct_matches_csv_writer(tmp_path):
 
 
 def test_grid_csv_memory_on_distinct_values(tmp_path):
-    # an all-distinct grid (as recon_complex.csv is) is written row by row: measured about 17 bytes
-    # per cell (the sorted bit patterns), against about 210 when every grid keeps one repr per cell
+    # an all-distinct grid (as recon_complex.csv is) is repr'd one block at a time: measured about
+    # 20 bytes per cell (mostly the sorted bit patterns), against about 210 when every grid keeps
+    # one repr per cell
     n = 256
     re, im = np.random.default_rng(0).standard_normal((2, n, n))
     tracemalloc.start()

@@ -455,7 +455,7 @@ def test_coherence_tables_match_scalar_inner_product(p, seed):
 @given(n=st.integers(1, 8), columns=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
        pool=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=64))
 def test_grid_csv_matches_csv_writer_from_a_value_pool(tmp_path_factory, n, columns, seed, pool):
-    # a small pool against n^2 cells takes the distinct-value path, a large one the row-by-row path
+    # a small pool against n^2 cells takes the distinct-value path, a large one the per-cell path
     rng = np.random.default_rng(seed)
     pool = np.array(pool + [-0.0, 0.0, float("nan")])
     values = [pool[rng.integers(0, pool.size, (n, n))] for _ in range(columns)]

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -7,6 +8,7 @@ from conftest import atom_tv_loop, edge_lemma_loop, full_grid_plan, haar_atom_2d
 from vdfourier.coherence import coherence_tables_1d, kappa_table, local_coherence_exact
 from vdfourier.image_core import as_image, tv_norm
 from vdfourier.sampling import (
+    Density,
     SamplingPlan,
     density_from_kappa,
     density_inverse_square,
@@ -58,6 +60,27 @@ def test_rip_exact_matches_svd_oracle():
     assert est.exhaustive
     assert est.supports_checked == 66
     assert est.delta == pytest.approx(rip_oracle_svd(a, 2), rel=1e-10)
+
+
+def test_rip_exact_over_several_support_chunks_matches_svd_oracle():
+    # C(15, 6) = 5005 supports: more than one chunk of 4096
+    a = np.random.default_rng(7).standard_normal((12, 15)) / np.sqrt(12)
+    est = rip_exact(a, 6)
+    assert est.supports_checked == 5005
+    assert est.delta == pytest.approx(rip_oracle_svd(a, 6), rel=1e-10)
+
+
+def test_rip_exact_memory_is_flat_in_the_support_count():
+    # C(20, 6) = 38760 supports; every 6 x 6 complex Gram submatrix at once took 28.4 MiB
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((16, 20)) + 1j * rng.standard_normal((16, 20))
+    tracemalloc.start()
+    try:
+        rip_exact(a, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_rip_delta_nondecreasing_in_s():
@@ -149,6 +172,18 @@ def test_isotropy_identity_exact():
 @pytest.mark.parametrize("n", [2, 4, 16])
 def test_isotropy_identity_reads_n_from_the_density(n):
     assert isotropy_identity_error(density_inverse_square(n)) <= 1e-10
+
+
+def test_isotropy_identity_gives_a_zero_mass_frequency_no_weight():
+    # a frequency that is never drawn adds nothing to the weighted Gram, which then misses the
+    # identity by exactly that frequency's rank-one term (1/nu = inf there gave nan)
+    values = density_inverse_square(8).values.copy()
+    values[3, 5] = 0.0
+    err = isotropy_identity_error(Density(values / values.sum()))  # RuntimeWarnings raise
+    plan = full_grid_plan(8)
+    row = build_preconditioned_matrix(plan)[plan.lin == 3 * 8 + 5] * np.sqrt(plan.m)
+    assert err == pytest.approx(np.abs(row).max() ** 2, abs=1e-15)
+    assert err == pytest.approx(0.0455346, abs=1e-7)
 
 
 def test_isotropy_identity_size_budget():
