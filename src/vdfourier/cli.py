@@ -162,7 +162,7 @@ def _build_plan(n, spec, m, seed):
     return draw_plan(density(n), m, seed)
 
 
-def _check_n(n, limit=256):
+def _check_n(n, limit):
     """The p of ``--n`` = 2**p <= limit."""
     if n <= limit:
         with contextlib.suppress(ValueError):
@@ -174,7 +174,7 @@ def _check_n(n, limit=256):
 # coherence
 
 def cmd_coherence(args):
-    p = _check_n(args.n)
+    p = _check_n(args.n, 256)
     n = args.n
     out = _start_run(args, n)
 
@@ -206,7 +206,7 @@ def cmd_coherence(args):
 # sample
 
 def cmd_sample(args):
-    _check_n(args.n)
+    _check_n(args.n, 1024)
     plan = _build_plan(args.n, args.density, args.m, args.seed)
     out = _start_run(args, args.n)
     plan.to_csv(out / "plan.csv")
@@ -320,7 +320,7 @@ def cmd_sweep(args):
 
 def cmd_verify(args):
     n_list = [int(v) for v in args.n_list.split(",")]
-    p_list = [_check_n(n, limit=64) for n in n_list]
+    p_list = [_check_n(n, 64) for n in n_list]
     out = _start_run(args, max(n_list))
 
     results = []

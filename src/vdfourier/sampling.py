@@ -207,7 +207,8 @@ def deterministic_mask(n, variant, m=None, lines=None):
     ``lowest_frequencies``: the m frequencies of smallest k1^2 + k2^2, ties
     broken by angle then storage index.
     ``radial_lines``: lattice points of ``lines`` equispaced-angle digital
-    lines through the origin.
+    lines through the origin, 1 <= lines <= 4n: past that the angular step pi/lines is
+    below the about 1/n the grid resolves at its edge, and the mask grows no further.
     For m i.i.d. uniform draws use ``draw_plan(density_uniform(n), m, seed)``.
     """
     if variant == "lowest_frequencies":
@@ -216,8 +217,8 @@ def deterministic_mask(n, variant, m=None, lines=None):
         freqs = _lowest_frequencies(n, m)
         return SamplingPlan(n=n, freqs=freqs, rho=np.ones(m))
     if variant == "radial_lines":
-        if lines is None or lines < 1:
-            raise ValueError("radial_lines requires lines >= 1")
+        if lines is None or not 1 <= lines <= 4 * n:
+            raise ValueError(f"radial_lines requires 1 <= lines <= {4 * n} (4n)")
         freqs = _radial_lines(n, lines)
         return SamplingPlan(n=n, freqs=freqs, rho=np.ones(len(freqs)))
     raise ValueError(f"unknown mask variant {variant!r}")

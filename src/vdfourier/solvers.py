@@ -232,8 +232,8 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
     gt = P_C(g - tau*k1t(q)) (P_C: data-ball projection), qt = clip(q + sigma*k1(2*gt - g)),
     and z += _RELAX*(zt - z) for z = (g, q) and zt = (gt, qt), one array each; the move is
     written into the next slot of a ring. With ``anderson``, the ring holds _AA_MOVES moves, and
-    every _AA_EVERY-th iteration whose ring was filled since it was last cleared (at each weight
-    update and at the precision switch) mixes them into z by :func:`_anderson_step`. A check
+    every _AA_EVERY-th iteration whose ring holds only moves made since the later of the last
+    weight update and the precision switch mixes them into z by :func:`_anderson_step`. A check
     writes k1(gt) into the spent move, so the loop exits with its last trial
     point (gt, qt) intact, made in complex128. Checks, report and result use the feasible gt;
     the relaxed anchor g may leave the ball when eps > 0. The merged means are rotated once into
@@ -272,13 +272,12 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
     updates = aa_steps = it = 0
     start = 1  # first iteration of the current epoch
     for dtype, tol, last in phases + [(np.complex128, opts.primal_tol, opts.max_iters)]:
-        single_iterations = it  # the last phase is the complex128 one
+        first = it + 1  # first iteration of this phase, whose ring holds no earlier move
         z, zt, z_ref = (a.astype(dtype) for a in (z, zt, z_ref))
         moves = np.empty((slots,) + z.shape, dtype=dtype)
         (g, q), (gt, qt) = ((a[0], a[1:].reshape(qshape)) for a in (z, zt))
         mag = np.empty(qshape, dtype=z.real.dtype)  # the dual step's modulus
         obj_prev = rel_change = np.inf  # no stop before two checks of this phase
-        stored = 0  # moves in the ring since it was last cleared
         for it in range(it + 1, last + 1):
             dz = moves[it % slots]
             step = dz[0]  # the primal step, then 2*gt - g, until the move overwrites it
@@ -297,7 +296,6 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
             np.divide(1.0, mag, out=mag)
             qt *= mag
             np.subtract(zt, z, out=dz)
-            stored += 1
             check = it % _CHECK_EVERY == 0
             if it == start or check:
                 r = np.sqrt(weight * lp_norm(dz[0], 2) ** 2 + lp_norm(dz[1:], 2) ** 2 / weight)
@@ -311,10 +309,9 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
                         weight = dq / dg
                     np.copyto(z_ref, zt)
                     updates += 1
-                    start = it + 1
-                    stored = 0  # no step mixes moves made under two weights
+                    start = it + 1  # no step mixes moves made under two weights
             z += np.multiply(_RELAX, dz, out=dz)
-            if anderson and stored >= slots and it % _AA_EVERY == 0:
+            if anderson and it - max(start, first) + 1 >= slots and it % _AA_EVERY == 0:
                 aa_steps += _anderson_step(z, moves, it % slots, weight)
             if check:
                 obj = lp_norm(k1(gt, out=dz[1:].reshape(qshape)), 1)
@@ -335,7 +332,7 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
         newton_steps=newton_steps,
         primal_weight=float(weight),
         weight_updates=updates,
-        single_iterations=single_iterations,
+        single_iterations=first - 1,  # the last phase is the complex128 one
         aa_steps=aa_steps,
     )
 

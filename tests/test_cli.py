@@ -214,6 +214,26 @@ def test_cmd_sample_radial_lines_match_library(tmp_path):
     assert (out / "plan.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+def test_cmd_sample_caps_n_at_1024(tmp_path):
+    # sample has its own cap, not coherence's 256: reconstruct reads a 512 x 512 plan
+    out = tmp_path / "s"
+    assert main(["sample", "--n", "512", "--density", "inv-square", "--m", "100",
+                 "--out", str(out)]) == 0
+    with open(out / "plan.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 100
+    assert read_pgm(out / "mask.pgm")[0].shape == (512, 512)
+    assert main(["sample", "--n", "2048", "--density", "inv-square", "--m", "100",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_cmd_sample_rejects_more_than_4n_radial_lines(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["sample", "--n", "16", "--density", "radial:65", "--out", str(out)]) == 2
+    assert "lines <= 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_sample_random_density_requires_m(tmp_path, capsys):
     out = tmp_path / "x"
     assert main(["sample", "--n", "16", "--density", "inv-square", "--out", str(out)]) == 2

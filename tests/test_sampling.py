@@ -223,6 +223,13 @@ def test_radial_lines_two_axes():
     assert np.all(plan.rho == 1.0)
 
 
+def test_radial_lines_are_capped_at_4n():
+    # past 4n lines the angular step is below what the grid resolves; 4n already fills it
+    with pytest.raises(ValueError, match="lines <= 64"):
+        deterministic_mask(16, "radial_lines", lines=65)
+    assert deterministic_mask(16, "radial_lines", lines=64).mask().all()
+
+
 def test_radial_lines_rasterization_oracle():
     # every requested angle contributes a digital line: nearest lattice point
     # per step of the dominant coordinate

@@ -472,6 +472,34 @@ def test_every_capped_solve_ends_on_a_complex128_projection(name, cap):
         assert report.constraint_violation <= 1e-12 * opts.epsilon * np.sqrt(plan.m)
 
 
+@pytest.mark.parametrize("cap", [None, 60, 110])
+def test_no_anderson_step_reads_a_move_from_before_the_precision_switch(monkeypatch, cap):
+    # each precision phase makes its ring of moves afresh, so a step may mix only moves made
+    # in its own phase: the last _AA_MOVES projections (one per iteration, after one before the
+    # loop) before every step share a dtype. Capped at 60 and 110, the complex64 phase runs to
+    # the cap - 1, and the last iteration would reach a step on an epoch count alone
+    project, mix = solvers._project_ball, solvers._anderson_step
+    dtypes, steps = [], []
+
+    def spy_project(v, lin, w, ybar, r, t, out):
+        dtypes.append(out.dtype)
+        return project(v, lin, w, ybar, r, t, out)
+
+    def spy_mix(z, moves, newest, weight):
+        steps.append(len(dtypes) - 1)  # the iteration of the step
+        return mix(z, moves, newest, weight)
+
+    monkeypatch.setattr(solvers, "_project_ball", spy_project)
+    monkeypatch.setattr(solvers, "_anderson_step", spy_mix)
+    solve, y, plan, opts = _precision_case("tv-64-weighted")
+    if cap is not None:
+        opts = dataclasses.replace(opts, max_iters=cap)
+    _, report = solve(y, plan, opts)
+    assert steps and len(steps) == report.aa_steps
+    for it in steps:
+        assert len(set(dtypes[it - solvers._AA_MOVES + 1:it + 1])) == 1, it
+
+
 def test_newton_steps_counts_prox_work():
     n = 16
     f = rect_phantom(n, seed=7, side=6)
