@@ -226,6 +226,8 @@ def _solver_options(args, eps):
 def _load_image(path):
     pixels, maxval = read_pgm(path)
     as_image(pixels)  # the image rules: square, side 2**p with p >= 1
+    if not np.any(pixels):
+        raise ValueError(f"image {path} is all zero: its relative error is undefined")
     return pixels, maxval
 
 
@@ -418,6 +420,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:  # sample, reconstruct and sweep, before --out exists
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

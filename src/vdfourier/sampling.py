@@ -190,15 +190,15 @@ def _lowest_frequencies(n, m):
 def _radial_lines(n, lines):
     lo, hi = -n // 2 + 1, n // 2
     ks = np.arange(lo, hi + 1)
-    pts = []
+    hit = np.zeros((n, n), dtype=bool)  # hit[k1 - lo, k2 - lo]: argwhere reads it k1 first
     for i in range(lines):
         theta = np.pi * i / lines
         c, s = np.cos(theta), np.sin(theta)
         # step along the axis the line is closer to, rounding the other coordinate
-        line = (ks, np.rint(ks * s / c)) if abs(c) >= abs(s) else (np.rint(ks * c / s), ks)
-        pts.append(np.stack(line, axis=1).astype(int))
-    pts = np.concatenate(pts)
-    return np.unique(pts[((pts >= lo) & (pts <= hi)).all(axis=1)], axis=0)
+        k1, k2 = (ks, np.rint(ks * s / c)) if abs(c) >= abs(s) else (np.rint(ks * c / s), ks)
+        on = (k1 >= lo) & (k2 >= lo)  # |ratio| <= 1 keeps it <= hi, but it can round to -n/2
+        hit[k1[on].astype(int) - lo, k2[on].astype(int) - lo] = True
+    return np.ascontiguousarray(np.argwhere(hit)) + lo  # argwhere's own array is F-ordered
 
 
 def deterministic_mask(n, variant, m=None, lines=None):

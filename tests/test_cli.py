@@ -324,6 +324,14 @@ def test_cmd_reconstruct_rejects_bad_image(tmp_path, capsys):
             assert main(argv + ["--image", str(img_path), "--out", str(out)]) == 2
             assert f"power of two >= 2, got {side}" in capsys.readouterr().err
             assert not out.exists()
+    img_path = tmp_path / "zero16.pgm"  # a valid side, but no relative error to report
+    write_pgm(img_path, np.zeros((16, 16)), maxval=255)
+    for argv in (["reconstruct", "--density", "uniform", "--m", "10"],
+                 ["sweep", "--alphas", "0", "--m", "10"]):
+        out = tmp_path / f"{argv[0]}16"
+        assert main(argv + ["--image", str(img_path), "--out", str(out)]) == 2
+        assert "is all zero: its relative error is undefined" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cmd_reconstruct_rejects_nan_eps(tmp_path):
@@ -551,13 +559,27 @@ def test_cmd_sweep_rejects_bad_input(tmp_path):
     args = ["sweep", "--image", str(img_path), "--m", "60", "--out", str(tmp_path / "sw")]
     for bad in (["--alphas=-1"], ["--alphas", "2", "--eps-list", "0,nan"],
                 ["--alphas", "2", "--trials", "0"], ["--alphas", "2", "--trials", "-2"],
-                ["--alphas", "2", "--m", "0"], ["--alphas", "2", "--jobs", "0"]):
+                ["--alphas", "2", "--m", "0"], ["--alphas", "2", "--jobs", "0"],
+                ["--alphas", "0,1,2", "--seed", "-2"]):
         assert main(args + bad) == 2
         assert not (tmp_path / "sw").exists()
     with pytest.raises(SystemExit) as exc:  # sweep has no --eps; it reads --eps-list
         main(args + ["--alphas", "2", "--eps", "0.1"])
     assert exc.value.code == 2
     assert not (tmp_path / "sw").exists()
+
+
+def test_cmd_reconstruct_and_sample_reject_a_negative_seed(tmp_path, capsys):
+    # reconstruct's noise seed, --seed + 1_000_003, is >= 0 here: the check is on --seed itself
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    for argv in (["reconstruct", "--image", str(img_path), "--density", "lowpass", "--m", "10",
+                  "--seed", "-1000004"],
+                 ["sample", "--n", "16", "--density", "radial:4", "--seed", "-1"]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"--seed must be >= 0, got {argv[-1]}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cmd_sweep_m_above_grid_size_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -230,12 +231,12 @@ def test_radial_lines_are_capped_at_4n():
     assert deterministic_mask(16, "radial_lines", lines=64).mask().all()
 
 
-def test_radial_lines_rasterization_oracle():
+@pytest.mark.parametrize("n, lines", [(n, lines) for n in (2, 4, 8, 16, 32, 64)
+                                      for lines in sorted({1, 2, 3, n, 4 * n})])
+def test_radial_lines_rasterization_oracle(n, lines):
     # every requested angle contributes a digital line: nearest lattice point
-    # per step of the dominant coordinate
-    n, lines = 16, 4
+    # per step of the dominant coordinate; the plan lists them k1 first, then k2, ascending
     plan = deterministic_mask(n, "radial_lines", lines=lines)
-    got = {tuple(v) for v in plan.freqs.tolist()}
     lo, hi = -n // 2 + 1, n // 2
     expected = set()
     for i in range(lines):
@@ -248,7 +249,20 @@ def test_radial_lines_rasterization_oracle():
                 pt = (int(round(step * c / s)), step)
             if lo <= pt[0] <= hi and lo <= pt[1] <= hi:
                 expected.add(pt)
-    assert got == expected
+    assert plan.freqs.tolist() == [list(pt) for pt in sorted(expected)]
+    assert plan.freqs.dtype == np.int64 and plan.freqs.flags.c_contiguous
+
+
+def test_radial_lines_memory_is_one_grid_and_the_plan():
+    # building the plan alone peaks at 40 MiB: 16 of freqs, 8 of rho and the 16 of storage
+    # indices its range check makes; holding every line's points at once takes 212 MiB
+    tracemalloc.start()
+    try:
+        deterministic_mask(1024, "radial_lines", lines=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 41 * 2**20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
