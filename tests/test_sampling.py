@@ -231,12 +231,9 @@ def test_radial_lines_are_capped_at_4n():
     assert deterministic_mask(16, "radial_lines", lines=64).mask().all()
 
 
-@pytest.mark.parametrize("n, lines", [(n, lines) for n in (2, 4, 8, 16, 32, 64)
-                                      for lines in sorted({1, 2, 3, n, 4 * n})])
-def test_radial_lines_rasterization_oracle(n, lines):
+def _radial_oracle(n, lines):
     # every requested angle contributes a digital line: nearest lattice point
-    # per step of the dominant coordinate; the plan lists them k1 first, then k2, ascending
-    plan = deterministic_mask(n, "radial_lines", lines=lines)
+    # per step of the dominant coordinate; listed k1 first, then k2, ascending
     lo, hi = -n // 2 + 1, n // 2
     expected = set()
     for i in range(lines):
@@ -249,7 +246,19 @@ def test_radial_lines_rasterization_oracle(n, lines):
                 pt = (int(round(step * c / s)), step)
             if lo <= pt[0] <= hi and lo <= pt[1] <= hi:
                 expected.add(pt)
-    assert plan.freqs.tolist() == [list(pt) for pt in sorted(expected)]
+    return [list(pt) for pt in sorted(expected)]
+
+
+def test_radial_lines_rasterization_oracle():
+    plan = deterministic_mask(16, "radial_lines", lines=4)
+    assert plan.freqs.tolist() == _radial_oracle(16, 4)
+
+
+@pytest.mark.parametrize("n, lines", [(n, lines) for n in (2, 4, 8, 16, 32, 64)
+                                      for lines in sorted({1, 2, 3, n, 4 * n})])
+def test_radial_lines_match_the_oracle_in_value_order(n, lines):
+    plan = deterministic_mask(n, "radial_lines", lines=lines)
+    assert plan.freqs.tolist() == _radial_oracle(n, lines)
     assert plan.freqs.dtype == np.int64 and plan.freqs.flags.c_contiguous
 
 
