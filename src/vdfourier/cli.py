@@ -210,8 +210,9 @@ def cmd_sample(args):
     plan = _build_plan(args.n, args.density, args.m, args.seed)
     out = _start_run(args, args.n)
     plan.to_csv(out / "plan.csv")
-    write_pgm(out / "mask.pgm", np.fft.fftshift(plan.mask()))
-    print(f"wrote plan with m={plan.m} ({plan.m - np.unique(plan.lin).size} duplicate draws)")
+    mask = plan.mask()
+    write_pgm(out / "mask.pgm", np.fft.fftshift(mask))
+    print(f"wrote plan with m={plan.m} ({plan.m - np.count_nonzero(mask)} duplicate draws)")
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image_core import side_exponent
-from .transforms import _capped_inverse, freq_to_index, freq_values
+from .transforms import _capped_inverse, freq_values
 
 __all__ = [
     "Density",
@@ -52,9 +52,9 @@ class Density:
 class SamplingPlan:
     """m drawn frequencies (duplicates allowed) plus preconditioning weights.
 
-    ``freqs`` is an (m, 2) integer array of (k1, k2) values on the n x n
-    grid; ``rho`` the m positive weights. A stochastic plan is reproduced by
-    calling :func:`draw_plan` again with the same density, m and seed.
+    ``freqs`` is an (m, 2) array, of any integer dtype, of (k1, k2) values in
+    {-n/2+1, ..., n/2}; ``rho`` the m positive weights. A stochastic plan is
+    reproduced by calling :func:`draw_plan` again with the same density, m and seed.
     """
 
     n: int
@@ -67,9 +67,12 @@ class SamplingPlan:
 
     @property
     def lin(self):
-        """Flat storage positions i1*n + i2 of the m frequencies (checked range)."""
-        i1, i2 = freq_to_index(self.freqs[:, 0], self.freqs[:, 1], self.n)
-        return i1 * self.n + i2
+        """Flat storage positions (k1 % n)*n + k2 % n of the m frequencies (checked range)."""
+        n = self.n
+        lo, hi = -n // 2 + 1, n // 2
+        if self.freqs.min() < lo or self.freqs.max() > hi:
+            raise ValueError(f"frequency outside [{lo}, {hi}] for n={n}")
+        return np.ravel_multi_index(self.freqs.T, (n, n), mode="wrap")
 
     def __post_init__(self):
         side_exponent(self.n)
@@ -81,7 +84,7 @@ class SamplingPlan:
             raise ValueError("rho length must match the number of frequencies")
         if not np.all(np.isfinite(self.rho) & (self.rho > 0)):
             raise ValueError("rho entries must be finite and positive")
-        freq_to_index(self.freqs[:, 0], self.freqs[:, 1], self.n)
+        self.lin  # checks the frequency range
 
     def mask(self):
         """Boolean n x n array, True where a frequency was drawn at least once."""

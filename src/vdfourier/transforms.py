@@ -25,7 +25,6 @@ from .image_core import as_complex, as_image, side_exponent
 
 __all__ = [
     "freq_values",
-    "freq_to_index",
     "haar_atom_1d",
     "haar_forward",
     "haar_inverse",
@@ -56,16 +55,6 @@ def _capped_inverse(scale, x):
     np.divide(scale, out, out=out, where=pos)
     out[~pos] = 1.0
     return np.minimum(1.0, out, out=out)[()]  # [()]: a scalar for scalar x
-
-
-def freq_to_index(k1, k2, n):
-    """Storage position of frequency (k1, k2); rejects out-of-range input."""
-    k1 = np.asarray(k1)
-    k2 = np.asarray(k2)
-    lo, hi = -n // 2 + 1, n // 2
-    if np.any(k1 < lo) or np.any(k1 > hi) or np.any(k2 < lo) or np.any(k2 > hi):
-        raise ValueError(f"frequency outside [{lo}, {hi}] for n={n}")
-    return k1 % n, k2 % n
 
 
 # ---------------------------------------------------------------------------

@@ -263,15 +263,15 @@ def test_radial_lines_match_the_oracle_in_value_order(n, lines):
 
 
 def test_radial_lines_memory_is_one_grid_and_the_plan():
-    # building the plan alone peaks at 40 MiB: 16 of freqs, 8 of rho and the 16 of storage
-    # indices its range check makes; holding every line's points at once takes 212 MiB
+    # the peak is _radial_lines' own 33 MiB: the 1 MiB marked grid and two 16 MiB copies of the
+    # frequencies; the plan's rho and storage positions (8 MiB each) stay below it
     tracemalloc.start()
     try:
         deterministic_mask(1024, "radial_lines", lines=4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 41 * 2**20
+    assert peak <= 34 * 2**20
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])

@@ -6,7 +6,6 @@ from vdfourier.sampling import SamplingPlan, density_uniform, draw_plan
 from vdfourier.transforms import (
     dft2_forward,
     dft2_inverse,
-    freq_to_index,
     freq_values,
     haar_atom_1d,
     haar_forward,
@@ -42,14 +41,34 @@ def test_freq_values_range():
 
 
 def test_freq_to_index_roundtrip_and_range():
+    # SamplingPlan.lin owns the rule: the full grid in storage order is 0 .. n^2 - 1
     n = 16
-    ks = freq_values(n)
-    i1, i2 = freq_to_index(ks, ks, n)
-    assert np.array_equal(i1, np.arange(n))
-    with pytest.raises(ValueError):
-        freq_to_index(n // 2 + 1, 0, n)
-    with pytest.raises(ValueError):
-        freq_to_index(-n // 2, 0, n)
+    assert np.array_equal(full_grid_plan(n).lin, np.arange(n * n))
+    for bad in (n // 2 + 1, -n // 2):
+        for axis in (0, 1):
+            freqs = np.zeros((1, 2), dtype=int)
+            freqs[0, axis] = bad
+            with pytest.raises(ValueError, match="outside"):
+                SamplingPlan(n=n, freqs=freqs, rho=np.ones(1))
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "uint8", "uint16", "uint32", "uint64"])
+def test_plan_of_any_integer_dtype_matches_int64(n, dtype):
+    rng = np.random.default_rng(n)
+    freqs = rng.integers(-n // 2 + 1, n // 2 + 1, size=(200, 2))
+    if np.dtype(dtype).kind == "u":
+        freqs = np.abs(freqs)
+    want = SamplingPlan(n=n, freqs=freqs, rho=np.ones(200))
+    plan = SamplingPlan(n=n, freqs=freqs.astype(dtype), rho=np.ones(200))
+    assert np.array_equal(plan.lin, want.lin) and plan.lin.dtype == want.lin.dtype
+    f = rng.standard_normal((n, n))
+    assert partial_dft(f, plan).tobytes() == partial_dft(f, want).tobytes()
+    y = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    assert partial_dft_adjoint(y, plan).tobytes() == partial_dft_adjoint(y, want).tobytes()
+    for bad in ([n // 2 + 1, 0], [0, n // 2 + 1]):  # above the range, in the dtype's own width
+        with pytest.raises(ValueError, match="outside"):
+            SamplingPlan(n=n, freqs=np.array([bad], dtype=dtype), rho=np.ones(1))
 
 
 # ---------------------------------------------------------------------------
