@@ -64,8 +64,8 @@ def write_pgm(path, pixels, maxval=255):
             or not 0 < maxval < 65536):
         raise ValueError(f"maxval must be an int in [1, 65535], got {maxval!r}")
     arr = np.asarray(pixels, dtype=float)
-    if arr.ndim != 2 or not np.isfinite(arr).all():
-        raise ValueError(f"PGM pixels must be a finite 2-D array, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.size == 0 or not np.isfinite(arr).all():
+        raise ValueError(f"PGM pixels must be a non-empty finite 2-D array, got shape {arr.shape}")
     quant = np.rint(arr.clip(0.0, 1.0) * maxval).astype(">u2" if maxval > 255 else "u1")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:

@@ -27,8 +27,8 @@ also mix their last 6 moves (Anderson 1965; the type-II step of Walker & Ni 2011
 sum to 1 solve a 6 x 6 system, and the state moves to that combination of the states after each
 move. The memory is cleared at each weight update and at the precision switch; steps are 10
 iterations apart, so each reads only moves made after the previous one. The solve stops when the
-objective changes by at most ``primal_tol`` between two checks; the data fit of the returned
-image is then measured once, with ``dft2_forward``, independently of the projection. Each PDHG
+objective changes by at most ``primal_tol`` between two checks and returns a new array, whose
+data fit is then measured once, with ``dft2_forward``, independently of the projection. Each PDHG
 state z = (g, q) (the iterate, the trial point, the restart reference and each slot of the ring
 of moves) is one array made once per precision phase, so the move, the relaxation and the
 restart copy are one operation each; every iteration runs in them through the ``out`` arguments
@@ -75,7 +75,7 @@ _RESTART_ARTIFICIAL = 0.36
 _SINGLE_MIN_N = 64
 _SINGLE_UNTIL = 1e-4
 # TV solves mix their last _AA_MOVES moves every _AA_EVERY >= _AA_MOVES iterations, so a step
-# reads no move made before the previous step, nor the slot a check wrote its objective into
+# reads no move made before the previous step
 _AA_EVERY = 10
 _AA_MOVES = 6
 
@@ -233,9 +233,9 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
     and z += _RELAX*(zt - z) for z = (g, q) and zt = (gt, qt), one array each; the move is
     written into the next slot of a ring. With ``anderson``, the ring holds _AA_MOVES moves, and
     every _AA_EVERY-th iteration whose ring holds only moves made since the later of the last
-    weight update and the precision switch mixes them into z by :func:`_anderson_step`. A check
-    writes k1(gt) into the spent move, so the loop exits with its last trial
-    point (gt, qt) intact, made in complex128. Checks, report and result use the feasible gt;
+    weight update and the precision switch mixes them into z by :func:`_anderson_step`. The loop
+    exits with its last trial point (gt, qt), made in complex128. Checks, report and result use
+    the feasible gt, and the solve returns a copy of it, an image that shares no loop array;
     the relaxed anchor g may leave the ball when eps > 0. The merged means are rotated once into
     the frame of the unphased FFT, where P_C works; the result's fit is measured with the phased
     ``dft2_forward``.
@@ -263,7 +263,7 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
     z = np.zeros((1 + math.prod(qshape) // n**2, n, n), dtype=np.complex128)
     zt = np.zeros_like(z)
     t_ball, newton_steps = _project_ball(zt[0], lin, w, ybar_u, radius_distinct, 0.0, z[0])
-    z_ref = z  # g = P_C(0), q = 0
+    z_ref = z.copy()  # g = P_C(0), q = 0
     phases = ([(np.complex64, max(_SINGLE_UNTIL, opts.primal_tol), opts.max_iters - 1)]
               if n >= _SINGLE_MIN_N else [])
 
@@ -273,7 +273,7 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
     start = 1  # first iteration of the current epoch
     for dtype, tol, last in phases + [(np.complex128, opts.primal_tol, opts.max_iters)]:
         first = it + 1  # first iteration of this phase, whose ring holds no earlier move
-        z, zt, z_ref = (a.astype(dtype) for a in (z, zt, z_ref))
+        z, zt, z_ref = (a.astype(dtype, copy=False) for a in (z, zt, z_ref))
         moves = np.empty((slots,) + z.shape, dtype=dtype)
         (g, q), (gt, qt) = ((a[0], a[1:].reshape(qshape)) for a in (z, zt))
         mag = np.empty(qshape, dtype=z.real.dtype)  # the dual step's modulus
@@ -314,7 +314,7 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
             if anderson and it - max(start, first) + 1 >= slots and it % _AA_EVERY == 0:
                 aa_steps += _anderson_step(z, moves, it % slots, weight)
             if check:
-                obj = lp_norm(k1(gt, out=dz[1:].reshape(qshape)), 1)
+                obj = lp_norm(k1(gt), 1)
                 rel_change = abs(obj - obj_prev) / max(abs(obj), 1e-30)
                 obj_prev = obj
                 if rel_change <= tol:
@@ -322,7 +322,7 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
 
     fit2 = float(np.sum(w * np.abs(dft2_forward(gt).ravel()[lin] - ybar) ** 2))
     violation = max(0.0, np.sqrt(fit2 + spread) - radius)
-    return gt, SolverReport(
+    return gt.copy(), SolverReport(
         iterations=it,
         primal_residual=None if rel_change == np.inf else float(rel_change),
         constraint_violation=float(violation),

@@ -128,8 +128,8 @@ def haar_forward(f, out=None):
 
     Computed by the recursive 2x2 butterfly scheme in O(n^2 log n); equals the dense matrix
     product with :func:`haar_matrix` rows. Level q = 4**lev writes half the :func:`_haar_butterfly`
-    of the finer average to ``[0, 4q)``: its average to ``[0, q)``, read by the next level.
-    ``out`` (n*n entries, of the image's dtype) receives the coefficients when given.
+    of the finer average to ``[0, 4q)``: its average to ``[0, q)``, read by the next level. ``out``
+    (a flat array of n*n entries, of the image's dtype) receives the coefficients when given.
     """
     f = as_image(f)
     n = f.shape[0]

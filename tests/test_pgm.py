@@ -105,7 +105,8 @@ def test_roundtrip_at_a_numpy_integer_maxval(tmp_path):
 
 
 @pytest.mark.parametrize("pixels", [np.array([[0.5, np.nan], [0.0, 1.0]]), np.zeros((2, 2, 2)),
-                                    np.zeros(4)], ids=["nan-pixel", "3-d", "1-d"])
+                                    np.zeros(4), np.zeros((0, 3)), np.zeros((2, 0))],
+                         ids=["nan-pixel", "3-d", "1-d", "no-rows", "no-columns"])
 def test_write_rejects_pixels_it_cannot_write(tmp_path, pixels):
     path = tmp_path / "w.pgm"
     with pytest.raises(ValueError, match="finite 2-D array"):

@@ -472,6 +472,28 @@ def test_every_capped_solve_ends_on_a_complex128_projection(name, cap):
         assert report.constraint_violation <= 1e-12 * opts.epsilon * np.sqrt(plan.m)
 
 
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("solve, seminorm", [
+    (tv_min_reconstruct, tv_norm),
+    (l1_haar_reconstruct, lambda g: lp_norm(haar_forward(g), 1)),
+], ids=["tv", "haar"])
+def test_a_solve_returns_an_image_it_does_not_share(solve, seminorm, n):
+    # the image is a copy of the last trial point, not a view of the solver's arrays: it owns
+    # its data, keeps none of them alive, and is the image the report's objective measures;
+    # n = 64 runs a complex64 phase first, n = 16 runs in complex128 only
+    f = rect_phantom(n, seed=5, side=n // 4)
+    plan = draw_plan(density_inverse_square(n), n * n // 5, seed=3)
+    opts = SolverOptions(noise_model="weighted", epsilon=0.05)
+    y = add_noise(partial_dft(f, plan), plan, opts.epsilon, model=opts.noise_model, seed=2)
+    g, report = solve(y, plan, opts)
+    assert g.base is None and g.dtype == np.complex128
+    assert (report.single_iterations > 0) == (n >= solvers._SINGLE_MIN_N)
+    assert report.objective == seminorm(g)
+    kept = g.copy()
+    solve(y, plan, opts)
+    assert np.array_equal(g, kept)
+
+
 @pytest.mark.parametrize("cap", [None, 60, 110])
 def test_no_anderson_step_reads_a_move_from_before_the_precision_switch(monkeypatch, cap):
     # each precision phase makes its ring of moves afresh, so a step may mix only moves made
