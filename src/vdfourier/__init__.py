@@ -19,6 +19,7 @@ from .coherence import (
 from .image_core import (
     best_s_term_error,
     gradient,
+    gradient_adjoint,
     hard_threshold,
     lp_norm,
     tv_norm,

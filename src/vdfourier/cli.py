@@ -128,13 +128,6 @@ def _check_row(claim, bound, measured, ok, **where):
     return {"claim": claim, **where, "bound": bound, "measured": measured, "pass": bool(ok)}
 
 
-def _power_exponent(text):
-    alpha = float(text)  # float() parses inf
-    if not alpha >= 0:
-        raise ValueError(f"power-law exponent must be >= 0, got {alpha}")
-    return alpha
-
-
 _DENSITY_SPECS = "uniform|inv-square|inv-max|power:<a>|lowpass|radial:<L>"
 _DENSITIES = {"uniform": density_uniform, "inv-square": density_inverse_square,
               "inv-max": density_inverse_max, "lowpass": None}  # None: the lowest m frequencies
@@ -149,8 +142,8 @@ def _build_plan(n, spec, m, seed):
             raise ValueError(f"--m does not apply to density {spec!r}, which fixes m itself")
         return plan
     if colon and kind == "power":
-        alpha = _power_exponent(param)
-        density = None if math.isinf(alpha) else functools.partial(density_power_law, alpha=alpha)
+        alpha = float(param)  # not isinf: density_power_law refuses -inf, nan and alpha < 0
+        density = None if alpha == math.inf else functools.partial(density_power_law, alpha=alpha)
     elif spec in _DENSITIES:
         density = _DENSITIES[spec]
     else:
@@ -287,14 +280,14 @@ def _sweep_cell(task):
 
 def cmd_sweep(args):
     f, _ = _load_image(args.image)
-    alphas = [_power_exponent(a) for a in args.alphas.split(",")]
+    alphas = [float(a) for a in args.alphas.split(",")]
     eps_list = [float(e) for e in args.eps_list.split(",")]
     opts_list = [_solver_options(args, eps) for eps in eps_list]
-    for flag in ("trials", "m", "jobs"):
+    for flag in ("trials", "jobs"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
-    if args.m > f.size:
-        raise ValueError(f"--m must be <= n^2 = {f.size}, got {args.m}")
+    for alpha in alphas:  # the plan rules (alpha, --m) are _build_plan's, checked per entry
+        _build_plan(f.shape[0], f"power:{alpha!r}", args.m, args.seed)
     out = _start_run(args, f.shape[0])
 
     tasks = []

@@ -12,6 +12,7 @@ __all__ = [
     "side_exponent",
     "as_image",
     "gradient",
+    "gradient_adjoint",
     "tv_norm",
     "lp_norm",
     "hard_threshold",

@@ -588,8 +588,24 @@ def test_cmd_sweep_m_above_grid_size_exits_2(tmp_path, capsys):
     out = tmp_path / "sw"
     assert main(["sweep", "--image", str(img_path), "--alphas", "inf,2", "--m", "257",
                  "--out", str(out)]) == 2
-    assert "--m must be <= n^2 = 256, got 257" in capsys.readouterr().err
+    assert "lowest_frequencies requires 1 <= m <= 256" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alphas, m", [("2", 257), ("inf", 257), ("0,inf", 256), ("-1", 10),
+                                       ("nan", 10), ("2", 0)])
+def test_sweep_refuses_exactly_what_sample_refuses(tmp_path, alphas, m):
+    # one owner for the plan rules: sweep builds each --alphas entry's plan as sample does
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    sample_codes = [main(["sample", "--n", "16", "--density", f"power:{alpha}", "--m", str(m),
+                          "--out", str(tmp_path / f"sample{i}")])
+                    for i, alpha in enumerate(alphas.split(","))]
+    out = tmp_path / "sw"
+    code = main(["sweep", "--image", str(img_path), "--alphas", alphas, "--m", str(m),
+                 "--max-iters", "50", "--out", str(out)])
+    assert code == max(sample_codes) and set(sample_codes) <= {0, 2}
+    assert out.exists() == (code == 0)
 
 
 def test_cmd_sweep_all_cells_failed_exits_5(tmp_path, monkeypatch):

@@ -65,6 +65,14 @@ def test_gradient_adjoint_identity():
         assert abs(lhs - rhs) < 1e-10
 
 
+def test_package_exports_gradient_adjoint_like_every_adjoint():
+    import vdfourier
+    from vdfourier import image_core
+
+    assert vdfourier.gradient_adjoint is image_core.gradient_adjoint
+    assert "gradient_adjoint" in image_core.__all__
+
+
 def test_gradient_adjoint_rejects_a_strided_out():
     out = np.zeros((8, 16), dtype=complex)[:, ::2]
     with pytest.raises(ValueError, match="C-contiguous out"):
