@@ -66,12 +66,16 @@ def gradient(f, out=None):
 
 
 def gradient_adjoint(d, out=None):
-    """Adjoint of :func:`gradient` on all of C^(2 x n x n): the pad entries are ignored.
-    ``out`` (C-contiguous n x n, of the field's dtype) receives the image when given. The dy
-    terms run over the flat image (faster than 2-D column slices), which adds pads of dy to the
-    first and last columns; those are then redone from their saved dx terms, in the same order.
+    """Adjoint of :func:`gradient` on all of C^(2 x n x n): the pad entries are ignored, and a
+    field of a shape that :func:`gradient` cannot produce is refused. ``out`` (C-contiguous
+    n x n, of the field's dtype) receives the image when given. The dy terms run over the flat
+    image (faster than 2-D column slices), which adds pads of dy to the first and last columns;
+    those are then redone from their saved dx terms, in the same order.
     """
     d = as_complex(d)
+    if d.ndim != 3 or d.shape[:2] != (2, d.shape[2]):
+        raise ValueError(f"gradient field must have shape (2, n, n), got {d.shape}")
+    side_exponent(d.shape[2])
     dx, dy = d[0, :-1], d[1]
     out = np.empty(d.shape[1:], dtype=d.dtype) if out is None else out
     if not out.flags.c_contiguous:

@@ -177,7 +177,7 @@ def dft2_forward(f):
 
 def dft2_inverse(spec):
     """Inverse (= adjoint) of :func:`dft2_forward`."""
-    return np.roll(ifft2_unphased(as_complex(spec)), -1, axis=(0, 1))
+    return np.roll(ifft2_unphased(as_image(spec)), -1, axis=(0, 1))
 
 
 def fft2_unphased(f, out=None):

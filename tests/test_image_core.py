@@ -12,6 +12,7 @@ from vdfourier.image_core import (
     lp_norm,
     tv_norm,
 )
+from vdfourier.transforms import dft2_inverse
 
 
 def gradient_oracle(f):
@@ -71,6 +72,27 @@ def test_package_exports_gradient_adjoint_like_every_adjoint():
 
     assert vdfourier.gradient_adjoint is image_core.gradient_adjoint
     assert "gradient_adjoint" in image_core.__all__
+
+
+def test_package_exports_every_module_all():
+    # each module's __all__ is the one list of its public names; the package re-exports them
+    import vdfourier
+    from vdfourier import coherence, image_core, sampling, solvers, transforms, verify
+
+    for module in (coherence, image_core, sampling, solvers, transforms, verify):
+        for name in module.__all__:
+            assert getattr(vdfourier, name) is getattr(module, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize("adjoint, shape", [
+    *((gradient_adjoint, s) for s in [(3, 4, 4), (2, 4, 6), (2, 3, 3), (2, 4, 4, 1), (1, 4, 4)]),
+    *((dft2_inverse, s) for s in [(4, 6), (3, 3), (2, 4, 4)]),
+])
+def test_adjoint_refuses_what_its_forward_map_refuses(adjoint, shape):
+    # gradient and dft2_forward take only n x n images with n = 2**p, so no such field or
+    # spectrum is in the range of either; the adjoint refuses it instead of dropping entries
+    with pytest.raises(ValueError):
+        adjoint(np.ones(shape))
 
 
 def test_gradient_adjoint_rejects_a_strided_out():
