@@ -331,9 +331,7 @@ def cmd_verify(args):
     iso = isotropy_identity_error(density_from_kappa(kappa_table(8)))
     results.append(_check_row("preconditioned isotropy identity", 1e-10, iso, iso <= 1e-10, n=8))
 
-    ks = freq_values(8)
-    full = SamplingPlan(n=8, freqs=np.stack([np.repeat(ks, 8), np.tile(ks, 8)], axis=1),
-                        rho=np.full(64, 8.0))
+    full = SamplingPlan.from_lin(8, np.arange(64), np.full(64, 8.0))
     delta = rip_exact(build_preconditioned_matrix(full), 2).delta
     results.append(_check_row("full-sampling RIP delta_2 = 0", 1e-10, delta, delta <= 1e-10, n=8))
 

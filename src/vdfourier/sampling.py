@@ -74,6 +74,12 @@ class SamplingPlan:
             raise ValueError(f"frequency outside [{lo}, {hi}] for n={n}")
         return np.ravel_multi_index(self.freqs.T, (n, n), mode="wrap")
 
+    @classmethod
+    def from_lin(cls, n, lin, rho):
+        """The plan whose :attr:`lin` is ``lin``: each storage position in [0, n*n) as (k1, k2)."""
+        ks = freq_values(n)  # first: a bad n gets side_exponent's message, not a position's
+        return cls(n=n, freqs=ks[np.stack(np.unravel_index(lin, (n, n)), axis=1)], rho=rho)
+
     def __post_init__(self):
         side_exponent(self.n)
         if self.freqs.shape[:1] == (0,):  # also an empty CSV's (0,) array
@@ -174,20 +180,15 @@ def draw_plan(density, m, seed):
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
     lin = np.searchsorted(cdf, rng.random(m), side="right")
-    i1, i2 = np.unravel_index(lin, (n, n))
-    ks = freq_values(n)
-    freqs = np.stack([ks[i1], ks[i2]], axis=1)
-    rho = 1.0 / np.sqrt(flat[lin])
-    return SamplingPlan(n=n, freqs=freqs, rho=rho)
+    return SamplingPlan.from_lin(n, lin, 1.0 / np.sqrt(flat[lin]))
 
 
 def _lowest_frequencies(n, m):
-    ks = freq_values(n)
-    k1, k2 = np.repeat(ks, n), np.tile(ks, n)  # the grid in storage order
-    r2 = k1.astype(float) ** 2 + k2**2
-    ang = np.mod(np.arctan2(k2, k1), 2 * np.pi)
-    sel = np.lexsort((ang, r2))[:m]  # stable: full ties keep storage order
-    return np.stack([k1[sel], k2[sel]], axis=1)
+    k = freq_values(n)
+    k1, k2 = k[:, None], k[None, :]
+    r2 = (k1.astype(float) ** 2 + k2**2).ravel()
+    ang = np.mod(np.arctan2(k2, k1), 2 * np.pi).ravel()
+    return np.lexsort((ang, r2))[:m]  # storage positions; stable: full ties keep storage order
 
 
 def _radial_lines(n, lines):
@@ -217,8 +218,7 @@ def deterministic_mask(n, variant, m=None, lines=None):
     if variant == "lowest_frequencies":
         if m is None or not 1 <= m <= n * n:
             raise ValueError(f"lowest_frequencies requires 1 <= m <= {n * n}")
-        freqs = _lowest_frequencies(n, m)
-        return SamplingPlan(n=n, freqs=freqs, rho=np.ones(m))
+        return SamplingPlan.from_lin(n, _lowest_frequencies(n, m), np.ones(m))
     if variant == "radial_lines":
         if lines is None or not 1 <= lines <= 4 * n:
             raise ValueError(f"radial_lines requires 1 <= lines <= {4 * n} (4n)")

@@ -149,10 +149,10 @@ def haar_inverse(w, out=None):
     details to the finer quarters; ``out`` (n x n, of w's dtype) receives the image when given.
     Each level but the last gets a new array: rebuilding every level inside ``out`` gives the
     same bits but was slower per call at n = 32, 128 and 256 in most timings."""
-    w = as_complex(w).ravel()
+    w = as_complex(w)
     n = math.isqrt(w.size)
-    if n * n != w.size:
-        raise ValueError(f"coefficient vector length {w.size} is not a perfect square")
+    if w.ndim != 1 or n * n != w.size:
+        raise ValueError(f"coefficients must be a flat vector of n*n entries, got shape {w.shape}")
     p = side_exponent(n)
     cur = w[:1].reshape(1, 1)
     for lev in range(p):

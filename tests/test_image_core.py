@@ -12,7 +12,7 @@ from vdfourier.image_core import (
     lp_norm,
     tv_norm,
 )
-from vdfourier.transforms import dft2_inverse
+from vdfourier.transforms import dft2_inverse, haar_inverse
 
 
 def gradient_oracle(f):
@@ -87,10 +87,13 @@ def test_package_exports_every_module_all():
 @pytest.mark.parametrize("adjoint, shape", [
     *((gradient_adjoint, s) for s in [(3, 4, 4), (2, 4, 6), (2, 3, 3), (2, 4, 4, 1), (1, 4, 4)]),
     *((dft2_inverse, s) for s in [(4, 6), (3, 3), (2, 4, 4)]),
+    *((haar_inverse, s) for s in [(2, 8), (2, 2, 4), (4, 4), (16, 1)]),
 ])
 def test_adjoint_refuses_what_its_forward_map_refuses(adjoint, shape):
     # gradient and dft2_forward take only n x n images with n = 2**p, so no such field or
-    # spectrum is in the range of either; the adjoint refuses it instead of dropping entries
+    # spectrum is in the range of either; the adjoint refuses it instead of dropping entries.
+    # haar_forward returns the flat vector of n*n coefficients, so haar_inverse refuses any
+    # other shape, even one with n*n entries, instead of raveling it
     with pytest.raises(ValueError):
         adjoint(np.ones(shape))
 

@@ -1,7 +1,7 @@
 """Property tests (hypothesis) for the data-ball projection, the duplicate merge, the Anderson
 step, the discrete gradient, the lp norms, the transforms, the exact Haar reference, the isotropy
-identity, the partial DFT, the closed-form Fourier-Haar inner products, the grid CSV writer
-and PGM round trips."""
+identity, the partial DFT, the storage-position decode, the closed-form Fourier-Haar inner
+products, the grid CSV writer and PGM round trips."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,13 @@ from vdfourier.coherence import (
 )
 from vdfourier.image_core import as_image, gradient, gradient_adjoint, lp_norm
 from vdfourier.pgm import read_pgm, write_pgm
-from vdfourier.sampling import Density, SamplingPlan
+from vdfourier.sampling import (
+    Density,
+    SamplingPlan,
+    density_inverse_square,
+    deterministic_mask,
+    draw_plan,
+)
 from vdfourier.solvers import _AA_MOVES, _anderson_step, _merge_draws, _project_ball
 from vdfourier.transforms import (
     dft2_forward,
@@ -392,6 +398,19 @@ def test_partial_dft_adjoint_identity_with_repeated_frequencies(p, seed, draws, 
     lhs = np.vdot(partial_dft(g, plan), y)
     rhs = np.vdot(g, partial_dft_adjoint(y, plan))
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
+@PROPERTY
+@given(n=st.sampled_from([2, 4, 16, 64]), seed=st.integers(0, 2**32 - 1),
+       draws=st.floats(0.05, 2.0))
+def test_from_lin_inverts_lin_with_repeated_positions(n, seed, draws):
+    rng = np.random.default_rng(seed)
+    m = max(1, int(draws * n * n))
+    lin = rng.integers(0, n * n, m)
+    assert np.array_equal(SamplingPlan.from_lin(n, lin, rng.uniform(0.5, 2.0, m)).lin, lin)
+    for plan in (draw_plan(density_inverse_square(n), m, seed),
+                 deterministic_mask(n, "lowest_frequencies", m=min(m, n * n))):
+        assert np.array_equal(SamplingPlan.from_lin(n, plan.lin, plan.rho).freqs, plan.freqs)
 
 
 @PROPERTY

@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import full_grid_plan
 from vdfourier.coherence import kappa_table
 from vdfourier.sampling import (
     Density,
@@ -272,6 +273,21 @@ def test_radial_lines_memory_is_one_grid_and_the_plan():
     finally:
         tracemalloc.stop()
     assert peak <= 34 * 2**20
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_from_lin_of_every_position_is_the_full_grid(n):
+    plan = SamplingPlan.from_lin(n, np.arange(n * n), np.ones(n * n))
+    full = full_grid_plan(n)
+    assert np.array_equal(plan.freqs, full.freqs) and plan.freqs.dtype == full.freqs.dtype
+    assert np.array_equal(plan.rho, full.rho)
+
+
+@pytest.mark.parametrize("n, lin", [(8, [-1]), (8, [64]), (8, [0, 64, 1]), (6, [0])])
+def test_from_lin_refuses_a_position_off_the_grid_or_a_bad_side(n, lin):
+    # a divmod decode would read -1 as (-1, n - 1), a valid frequency
+    with pytest.raises(ValueError):
+        SamplingPlan.from_lin(n, np.array(lin), np.ones(len(lin)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
