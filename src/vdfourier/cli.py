@@ -155,12 +155,12 @@ def _build_plan(n, spec, m, seed):
     return draw_plan(density(n), m, seed)
 
 
-def _check_n(n, limit):
-    """The p of ``--n`` = 2**p <= limit."""
+def _check_n(n, limit, flag="--n"):
+    """The p of ``n`` = 2**p <= limit; errors name ``flag``."""
     if n <= limit:
         with contextlib.suppress(ValueError):
             return side_exponent(n)
-    raise ValueError(f"--n must be a power of two in [2, {limit}], got {n}")
+    raise ValueError(f"{flag} must be a power of two in [2, {limit}], got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +283,6 @@ def cmd_sweep(args):
     alphas = [float(a) for a in args.alphas.split(",")]
     eps_list = [float(e) for e in args.eps_list.split(",")]
     opts_list = [_solver_options(args, eps) for eps in eps_list]
-    for flag in ("trials", "jobs"):
-        if getattr(args, flag) < 1:
-            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     for alpha in alphas:  # the plan rules (alpha, --m) are _build_plan's, checked per entry
         _build_plan(f.shape[0], f"power:{alpha!r}", args.m, args.seed)
     out = _start_run(args, f.shape[0])
@@ -316,7 +313,7 @@ def cmd_sweep(args):
 
 def cmd_verify(args):
     n_list = [int(v) for v in args.n_list.split(",")]
-    p_list = [_check_n(n, 64) for n in n_list]
+    p_list = [_check_n(n, 64, "--n-list entry") for n in n_list]
     out = _start_run(args, max(n_list))
 
     results = []
@@ -348,62 +345,53 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common_solver_flags(sp):
-    sp.add_argument("--noise-model", choices=["weighted", "unweighted"],
-                    default=SolverOptions.noise_model)
-    sp.add_argument("--solver", choices=["tv", "haar"], default="tv")
-    sp.add_argument("--max-iters", type=int, default=SolverOptions.max_iters)
-    sp.add_argument("--primal-tol", type=float, default=SolverOptions.primal_tol)
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="vdfourier",
                                  description="Variable-density Fourier compressive imaging")
+    out, seed, solve = (argparse.ArgumentParser(add_help=False) for _ in range(3))  # shared flags
+    out.add_argument("--out", required=True)
+    seed.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--image", required=True)
+    solve.add_argument("--noise-model", choices=["weighted", "unweighted"],
+                       default=SolverOptions.noise_model)
+    solve.add_argument("--solver", choices=["tv", "haar"], default="tv")
+    solve.add_argument("--max-iters", type=int, default=SolverOptions.max_iters)
+    solve.add_argument("--primal-tol", type=float, default=SolverOptions.primal_tol)
     # no abbreviations: a mistyped flag must not silently become another one
     sub = ap.add_subparsers(dest="command", required=True,
                             parser_class=functools.partial(argparse.ArgumentParser,
                                                            allow_abbrev=False))
 
-    sp = sub.add_parser("coherence", help="exact coherence map and bound report")
+    sp = sub.add_parser("coherence", parents=[out], help="exact coherence map and bound report")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_coherence)
 
-    sp = sub.add_parser("sample", help="draw a sampling plan and mask image")
+    sp = sub.add_parser("sample", parents=[out, seed], help="draw a sampling plan and mask image")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--density", required=True, help=_DENSITY_SPECS)
     sp.add_argument("--m", type=int)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_sample)
 
-    sp = sub.add_parser("reconstruct", help="reconstruct a PGM image from partial DFT")
-    sp.add_argument("--image", required=True)
+    sp = sub.add_parser("reconstruct", parents=[out, seed, solve],
+                        help="reconstruct a PGM image from partial DFT")
     source = sp.add_mutually_exclusive_group(required=True)
     source.add_argument("--plan", help="existing plan CSV")
     source.add_argument("--density", help=_DENSITY_SPECS)
     sp.add_argument("--m", type=int)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", required=True)
     sp.add_argument("--eps", type=float, default=SolverOptions.epsilon, help="noise level epsilon")
-    _add_common_solver_flags(sp)
     sp.set_defaults(func=cmd_reconstruct)
 
-    sp = sub.add_parser("sweep", help="error table over power-law exponents and noise")
-    sp.add_argument("--image", required=True)
+    sp = sub.add_parser("sweep", parents=[out, seed, solve],
+                        help="error table over power-law exponents and noise")
     sp.add_argument("--alphas", required=True, help="comma list, e.g. 0,2,4,inf")
     sp.add_argument("--eps-list", default="0")
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--out", required=True)
-    _add_common_solver_flags(sp)
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("verify", help="run the structural verification suite")
+    sp = sub.add_parser("verify", parents=[out], help="run the structural verification suite")
     sp.add_argument("--n-list", default="2,4,8,16,32,64")
-    sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_verify)
 
     return ap
@@ -412,8 +400,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:  # sample, reconstruct and sweep, before --out exists
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        for flag, low in (("seed", 0), ("trials", 1), ("jobs", 1)):  # before --out exists
+            if getattr(args, flag, low) < low:
+                raise ValueError(f"--{flag} must be >= {low}, got {getattr(args, flag)}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -51,7 +51,7 @@ def fourier_haar_inner_1d(p, k, e, n, l):
     with the zero-frequency special cases <phi_0, h^1> = 0 and
     <phi_0, h^0> = 2^(-n/2).
     """
-    _check_1d_index(p, e, n, l)
+    p, e, n, l, k = _check_1d_index(p, e, n, l, k=k)
     if not -(1 << p) // 2 + 1 <= k <= (1 << p) // 2:
         raise ValueError(f"frequency {k} out of range for p={p}")
     return complex(_inner_1d(p, k, e, n, l))

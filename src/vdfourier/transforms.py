@@ -60,7 +60,11 @@ def _capped_inverse(scale, x):
 # ---------------------------------------------------------------------------
 # Haar system
 
-def _check_1d_index(p, e, n, l):
+def _check_1d_index(p, e, n, l, **k):
+    for name, v in dict(p=p, e=e, n=n, l=l, **k).items():  # numpy integers pass, bools do not
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+    p, e, n, l, *k = (int(v) for v in (p, e, n, l, *k.values()))  # a uint8 n wraps in n - p
     side_exponent(2**p)  # the system has a scale: p >= 1
     if e not in (0, 1):
         raise ValueError(f"e must be 0 or 1, got {e}")
@@ -68,6 +72,7 @@ def _check_1d_index(p, e, n, l):
         raise ValueError(f"scale n must satisfy 0 <= n < {p}, got {n}")
     if not 0 <= l < (1 << n):
         raise ValueError(f"shift l must satisfy 0 <= l < {1 << n}, got {l}")
+    return p, e, n, l, *k
 
 
 def _haar_patterns(p, n):
@@ -84,7 +89,7 @@ def haar_atom_1d(p, e, n, l):
     support is ``[l * 2**(p-n), (l+1) * 2**(p-n))`` and the nonzero value is
     ``2**((n-p)/2)``.
     """
-    _check_1d_index(p, e, n, l)
+    p, e, n, l = _check_1d_index(p, e, n, l)
     return 2.0 ** ((n - p) / 2) * _haar_patterns(p, n)[e][l]
 
 

@@ -263,6 +263,36 @@ def test_bare_reconstruct_and_sweep_parse_to_the_default_solver_options():
     assert cli._solver_options(sweep, float(sweep.eps_list)) == SolverOptions()
 
 
+# every dest and default of each command, parsed from its shortest valid command line; each
+# flag in these lines is required (reconstruct's --density stands for its --plan/--density group)
+CLI_SURFACE = {
+    ("coherence", "--n", "8", "--out", "o"): {"n": 8, "out": "o"},
+    ("sample", "--n", "8", "--density", "uniform", "--out", "o"):
+        {"n": 8, "density": "uniform", "m": None, "seed": 0, "out": "o"},
+    ("reconstruct", "--image", "a.pgm", "--density", "uniform", "--out", "o"):
+        {"image": "a.pgm", "plan": None, "density": "uniform", "m": None, "seed": 0, "out": "o",
+         "eps": 0.0, "noise_model": "unweighted", "solver": "tv", "max_iters": 20000,
+         "primal_tol": 1e-6},
+    ("sweep", "--image", "a.pgm", "--alphas", "0", "--m", "4", "--out", "o"):
+        {"image": "a.pgm", "alphas": "0", "eps_list": "0", "trials": 1, "m": 4, "seed": 0,
+         "jobs": 1, "out": "o", "noise_model": "unweighted", "solver": "tv", "max_iters": 20000,
+         "primal_tol": 1e-6},
+    ("verify", "--out", "o"): {"n_list": "2,4,8,16,32,64", "out": "o"},
+}
+
+
+@pytest.mark.parametrize("argv", CLI_SURFACE)
+def test_cli_surface_dests_defaults_and_required_flags(argv, capsys):
+    args = vars(cli.build_parser().parse_args(argv))
+    assert args.pop("func") is getattr(cli, f"cmd_{argv[0]}")
+    assert args == {"command": argv[0], **CLI_SURFACE[argv]}
+    for i in range(1, len(argv), 2):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv[:i] + argv[i + 2 :])
+        assert exc.value.code == 2
+        assert argv[i] in capsys.readouterr().err
+
+
 def test_cmd_reconstruct_full_sampling_identity(tmp_path):
     img_path = tmp_path / "in.pgm"
     f = write_test_image(img_path, n=16)
@@ -553,15 +583,19 @@ def test_cmd_sweep_density_trend_64(tmp_path):
     assert np.mean(by_alpha[2.0]) < np.mean(by_alpha[0.0])
 
 
-def test_cmd_sweep_rejects_bad_input(tmp_path):
+def test_cmd_sweep_rejects_bad_input(tmp_path, capsys):
     img_path = tmp_path / "in.pgm"
     write_test_image(img_path, n=16)
     args = ["sweep", "--image", str(img_path), "--m", "60", "--out", str(tmp_path / "sw")]
-    for bad in (["--alphas=-1"], ["--alphas", "2", "--eps-list", "0,nan"],
-                ["--alphas", "2", "--trials", "0"], ["--alphas", "2", "--trials", "-2"],
-                ["--alphas", "2", "--m", "0"], ["--alphas", "2", "--jobs", "0"],
-                ["--alphas", "0,1,2", "--seed", "-2"]):
+    for bad, message in ((["--alphas=-1"], "alpha must be >= 0, got -1.0"),
+                         (["--alphas", "2", "--eps-list", "0,nan"], "epsilon must be finite"),
+                         (["--alphas", "2", "--trials", "0"], "--trials must be >= 1, got 0"),
+                         (["--alphas", "2", "--trials", "-2"], "--trials must be >= 1, got -2"),
+                         (["--alphas", "2", "--m", "0"], "m must be >= 1, got 0"),
+                         (["--alphas", "2", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+                         (["--alphas", "0,1,2", "--seed", "-2"], "--seed must be >= 0, got -2")):
         assert main(args + bad) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
     with pytest.raises(SystemExit) as exc:  # sweep has no --eps; it reads --eps-list
         main(args + ["--alphas", "2", "--eps", "0.1"])
@@ -696,9 +730,12 @@ def test_cmd_verify_passes(tmp_path):
     assert "preconditioned isotropy identity" in claims
 
 
-def test_cmd_verify_rejects_large_n(tmp_path):
-    assert main(["verify", "--n-list", "128", "--out", str(tmp_path / "x")]) == 2
-    assert not (tmp_path / "x").exists()
+def test_cmd_verify_rejects_large_n(tmp_path, capsys):
+    for n_list in ("128", "2,128"):
+        assert main(["verify", "--n-list", n_list, "--out", str(tmp_path / "x")]) == 2
+        assert ("--n-list entry must be a power of two in [2, 64], got 128"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
     with pytest.raises(SystemExit) as exc:  # --n is not read as --n-list
         main(["verify", "--n", "4", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2

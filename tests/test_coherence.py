@@ -98,15 +98,32 @@ def test_inner_1d_magnitude_shift_invariant():
 
 
 def test_inner_1d_rejects_bad_indices():
-    with pytest.raises(ValueError, match="frequency 5 out of range for p=3"):
-        fourier_haar_inner_1d(3, 5, 1, 1, 0)
-    # bad orientation, scale n >= p, negative scale, shift l >= 2**n, negative shift
-    for e, n, l in [(2, 1, 0), (1, 3, 0), (1, -1, 0), (0, 1, 2), (0, 1, -1)]:
-        with pytest.raises(ValueError) as atom:
-            haar_atom_1d(3, e, n, l)
+    for k, match in [(5, "frequency 5 out of range for p=3"),
+                     (2.5, "k must be an integer, got 2.5"), (True, "k must be an integer, got True")]:
+        with pytest.raises(ValueError, match=match):
+            fourier_haar_inner_1d(3, k, 1, 1, 0)
+    # bad orientation, scale n >= p, negative scale, shift l >= 2**n, negative shift; then a
+    # non-integer or bool index, which is refused by name instead of read as a number
+    for p, e, n, l, match in [(3, 2, 1, 0, "e must be 0 or 1"), (3, 1, 3, 0, "scale n"),
+                              (3, 1, -1, 0, "scale n"), (3, 0, 1, 2, "shift l"),
+                              (3, 0, 1, -1, "shift l"), (3, 0, 1, 0.5, "l must be an integer"),
+                              (3, 0, 1.0, 1, "n must be an integer"),
+                              (3, True, 1, 0, "e must be an integer"),
+                              (2.0, 0, 1, 1, "p must be an integer"),
+                              (3, 0, 1, np.bool_(False), "l must be an integer")]:
+        with pytest.raises(ValueError, match=match) as atom:
+            haar_atom_1d(p, e, n, l)
         with pytest.raises(ValueError) as inner:
-            fourier_haar_inner_1d(3, 1, e, n, l)
+            fourier_haar_inner_1d(p, 1, e, n, l)
         assert str(inner.value) == str(atom.value)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
+def test_inner_1d_and_atom_read_numpy_integers_as_ints(dtype):
+    # unsigned indices used to wrap in 2**(n - p): a uint8 scale gave an atom entry of 1.7e38
+    p, k, e, n, l = (dtype(v) for v in (3, 1, 0, 1, 1))
+    assert fourier_haar_inner_1d(p, k, e, n, l) == fourier_haar_inner_1d(3, 1, 0, 1, 1)
+    assert np.array_equal(haar_atom_1d(p, e, n, l), haar_atom_1d(3, 0, 1, 1))
 
 
 # ---------------------------------------------------------------------------
