@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -43,6 +44,13 @@ def manifest_argv(out):
                                     for arg in (f"--{k.replace('_', '-')}", str(v))]
 
 
+def assert_rows_follow_the_pass_rule(rows):
+    """Each check row passes exactly when measured <= bound, or, with no bound, when finite."""
+    for r in rows:
+        bound, measured = r["bound"], r["measured"]
+        assert r["pass"] is (math.isfinite(measured) if bound is None else measured <= bound)
+
+
 # ---------------------------------------------------------------------------
 # coherence
 
@@ -62,7 +70,9 @@ def test_cmd_coherence_n256_reports_the_kappa_prime_l2_row(tmp_path):
     # the row exists from p = 8 on, and it fails there: criterion 2's gap in the paper's constant
     out = tmp_path / "coh256"
     assert main(["coherence", "--n", "256", "--out", str(out)]) == 0
-    row = json.loads((out / "report.json").read_text())["checks"][-1]
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert_rows_follow_the_pass_rule(checks)
+    row = checks[-1]
     assert row["claim"] == "kappa_prime l2 <= 52 sqrt(p)"
     assert row["bound"] == 52 * np.sqrt(8)
     assert row["measured"] == kappa_l2(256, "kappa_prime") and row["pass"] is False
@@ -593,7 +603,10 @@ def test_cmd_sweep_rejects_bad_input(tmp_path, capsys):
                          (["--alphas", "2", "--trials", "-2"], "--trials must be >= 1, got -2"),
                          (["--alphas", "2", "--m", "0"], "m must be >= 1, got 0"),
                          (["--alphas", "2", "--jobs", "0"], "--jobs must be >= 1, got 0"),
-                         (["--alphas", "0,1,2", "--seed", "-2"], "--seed must be >= 0, got -2")):
+                         (["--alphas", "0,1,2", "--seed", "-2"], "--seed must be >= 0, got -2"),
+                         (["--alphas", "1,y"], "--alphas must be a comma list of numbers, got 1,y"),
+                         (["--alphas", "2", "--eps-list", "0,z"],
+                          "--eps-list must be a comma list of numbers, got 0,z")):
         assert main(args + bad) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
@@ -730,10 +743,23 @@ def test_cmd_verify_passes(tmp_path):
     assert "preconditioned isotropy identity" in claims
 
 
+def test_cmd_verify_fails_exactly_the_rows_over_their_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_atom_tv", lambda n: 8.5)
+    out = tmp_path / "v"
+    assert main(["verify", "--n-list", "2,4", "--out", str(out)]) == 4
+    report = json.loads((out / "verify.json").read_text())
+    assert report["all_pass"] is False
+    assert_rows_follow_the_pass_rule(report["results"])
+    failed = [(r["claim"], r["n"]) for r in report["results"] if not r["pass"]]
+    assert failed == [("atom TV <= 8", 2), ("atom TV <= 8", 4)]
+    fail_lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[FAIL]")]
+    assert fail_lines == [f"[FAIL] n={n} atom TV <= 8: measured 8.5" for n in (2, 4)]
+
+
 def test_cmd_verify_rejects_large_n(tmp_path, capsys):
-    for n_list in ("128", "2,128"):
+    for n_list, bad in (("128", "128"), ("2,128", "128"), ("2,x", "x")):
         assert main(["verify", "--n-list", n_list, "--out", str(tmp_path / "x")]) == 2
-        assert ("--n-list entry must be a power of two in [2, 64], got 128"
+        assert (f"--n-list entry must be a power of two in [2, 64], got {bad}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
     with pytest.raises(SystemExit) as exc:  # --n is not read as --n-list

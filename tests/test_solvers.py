@@ -355,16 +355,6 @@ def test_converged_implies_feasible(monkeypatch, solve):
     assert report.constraint_violation > 0
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_solver_rejects_nonfinite_measurements(bad):
-    n = 16
-    plan = draw_plan(density_inverse_square(n), 100, seed=5)
-    y = partial_dft(rect_phantom(n, seed=1, side=6), plan)
-    y[17] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        tv_min_reconstruct(y, plan)
-
-
 @pytest.mark.parametrize("eps", [np.nan, np.inf, True, np.True_])
 def test_solver_options_reject_nonfinite_epsilon(eps):
     with pytest.raises(ValueError, match="epsilon"):
@@ -629,12 +619,10 @@ def test_default_tv_stop_is_near_a_tight_reference(n, eps, model):
     assert abs(report.objective - ref.objective) <= 1e-5 * ref.objective
 
 
-def test_add_noise_rejects_a_bad_model_or_length():
+def test_add_noise_rejects_a_bad_model():
     plan = draw_plan(density_inverse_square(8), 30, seed=8)
     with pytest.raises(ValueError, match="model must be weighted|unweighted"):
         add_noise(np.zeros(30, dtype=complex), plan, 0.1, model="other")
-    with pytest.raises(ValueError, match="measurement length 29 != plan.m = 30"):
-        add_noise(np.zeros(29, dtype=complex), plan, 0.1)
 
 
 @pytest.mark.parametrize("consume", [lambda y, plan: add_noise(y, plan, 0.1),
@@ -649,9 +637,3 @@ def test_every_consumer_checks_a_measurement_vector_alike(consume):
         y[4] = bad
         with pytest.raises(ValueError, match="non-finite"):
             consume(y, plan)
-
-
-def test_solver_rejects_length_mismatch():
-    plan = draw_plan(density_inverse_square(8), 30, seed=8)
-    with pytest.raises(ValueError):
-        tv_min_reconstruct(np.zeros(29, dtype=complex), plan)

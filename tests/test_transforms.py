@@ -316,10 +316,3 @@ def test_partial_dft_takes_the_grid_from_the_plan():
         partial_dft(np.ones((32, 32)), plan)
     y = partial_dft(np.ones((16, 16)), plan)
     assert partial_dft_adjoint(y, plan).shape == (16, 16)
-
-
-def test_partial_dft_adjoint_length_mismatch():
-    n = 8
-    plan = SamplingPlan(n=n, freqs=np.array([[1, 2]]), rho=np.ones(1))
-    with pytest.raises(ValueError):
-        partial_dft_adjoint(np.zeros(3), plan)
