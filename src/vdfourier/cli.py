@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import math
 import sys
@@ -136,19 +137,21 @@ _DENSITIES = {"uniform": density_uniform, "inv-square": density_inverse_square,
 
 def _build_plan(n, spec, m, seed):
     """The plan a --density spec names; the spec is checked before --m is (radial fixes m)."""
-    kind, colon, param = spec.partition(":")
-    if colon and kind == "radial":
-        plan = deterministic_mask(n, "radial_lines", lines=int(param))
+    kind, _, param = spec.partition(":")
+    with contextlib.suppress(ValueError):  # a number that does not parse stays text: unknown spec
+        param = {"radial": int, "power": float}.get(kind, str)(param)
+    if kind == "radial" and isinstance(param, int):
+        plan = deterministic_mask(n, "radial_lines", lines=param)
         if m is not None:
             raise ValueError(f"--m does not apply to density {spec!r}, which fixes m itself")
         return plan
-    if colon and kind == "power":
-        alpha = float(param)  # not isinf: density_power_law refuses -inf, nan and alpha < 0
-        density = None if alpha == math.inf else functools.partial(density_power_law, alpha=alpha)
+    if kind == "power" and isinstance(param, float):
+        # == inf, not isinf: density_power_law refuses -inf, nan and alpha < 0
+        density = None if param == math.inf else functools.partial(density_power_law, alpha=param)
     elif spec in _DENSITIES:
         density = _DENSITIES[spec]
     else:
-        raise ValueError(f"unknown density spec {spec!r}")
+        raise ValueError(f"unknown density spec {spec!r}, expected one of {_DENSITY_SPECS}")
     if m is None:
         raise ValueError(f"density {spec!r} requires --m")
     if density is None:
@@ -269,34 +272,27 @@ SWEEP_COLUMNS = ["alpha", "epsilon", "trial", "m", "error", "seed", "converged",
 
 
 def _sweep_cell(task):
-    """One (alpha, eps, trial) cell; returns a result row dict."""
-    f, alpha, opts, trial, m, seed, solver = task
-    row = {"alpha": alpha, "epsilon": opts.epsilon, "trial": trial, "m": m,
-           "error": float("nan"), "seed": seed, "converged": False, "status": "ok"}
+    """One (alpha, eps, trial) cell; returns its row in SWEEP_COLUMNS order."""
+    f, solver, m, alpha, opts, trial, seed = task
+    error, converged, status = float("nan"), False, "ok"
     try:
         plan = _build_plan(f.shape[0], f"power:{alpha!r}", m, seed)
-        _, report, row["error"] = _reconstruct_once(f, plan, solver, opts, seed)
-        row["converged"] = report.converged
+        _, report, error = _reconstruct_once(f, plan, solver, opts, seed)
+        converged = report.converged
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the sweep
-        row["status"] = f"error: {exc}"
-    return row
+        status = f"error: {exc}"
+    return [alpha, opts.epsilon, trial, m, error, seed, converged, status]
 
 
 def cmd_sweep(args):
     f, _ = _load_image(args.image)
     alphas = _floats(args.alphas, "--alphas")
-    eps_list = _floats(args.eps_list, "--eps-list")
-    opts_list = [_solver_options(args, eps) for eps in eps_list]
+    opts_list = [_solver_options(args, eps) for eps in _floats(args.eps_list, "--eps-list")]
     for alpha in alphas:  # the plan rules (alpha, --m) are _build_plan's, checked per entry
         _build_plan(f.shape[0], f"power:{alpha!r}", args.m, args.seed)
     out = _start_run(args, f.shape[0])
-
-    tasks = []
-    for alpha in alphas:
-        for opts in opts_list:
-            for trial in range(args.trials):
-                tasks.append((f, alpha, opts, trial, args.m, args.seed + len(tasks),
-                              args.solver))
+    tasks = [(f, args.solver, args.m, *cell, args.seed + i)  # cell i's seed: --seed + i
+             for i, cell in enumerate(itertools.product(alphas, opts_list, range(args.trials)))]
 
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # here: its import slows every command
@@ -306,8 +302,8 @@ def cmd_sweep(args):
     else:
         rows = [_sweep_cell(t) for t in tasks]
 
-    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
-    bad = sum(r["status"] != "ok" for r in rows)
+    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, rows)
+    bad = sum(row[-1] != "ok" for row in rows)
     print(f"sweep finished: {len(rows)} cells, {bad} failed")
     return EXIT_SWEEP_FAILED if bad == len(rows) else EXIT_OK
 

@@ -42,8 +42,8 @@ class Density:
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"density grid must be square, got shape {v.shape}")
         side_exponent(v.shape[0])
-        if not np.all(np.isfinite(v) & (v >= 0)):
-            raise ValueError("density entries must be finite and nonnegative")
+        if v.dtype.kind not in "iuf" or not np.all(np.isfinite(v) & (v >= 0)):
+            raise ValueError("density entries must be finite and nonnegative reals")
         if not abs(v.sum() - 1.0) <= 1e-12:
             raise ValueError(f"density must sum to 1, got {v.sum()!r}")
 
@@ -88,8 +88,8 @@ class SamplingPlan:
             raise ValueError(f"freqs must be an (m, 2) array of integers, got {self.freqs.dtype}")
         if self.rho.shape != (self.freqs.shape[0],):
             raise ValueError("rho length must match the number of frequencies")
-        if not np.all(np.isfinite(self.rho) & (self.rho > 0)):
-            raise ValueError("rho entries must be finite and positive")
+        if self.rho.dtype.kind not in "iuf" or not np.all(np.isfinite(self.rho) & (self.rho > 0)):
+            raise ValueError("rho entries must be finite and positive reals")
         self.lin  # checks the frequency range
 
     def mask(self):

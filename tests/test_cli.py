@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -210,11 +211,28 @@ def test_cmd_sample_uniform_duplicates_in_csv(tmp_path, capsys):
     assert f"({n * n - len(unique)} duplicate draws)" in capsys.readouterr().out
 
 
-def test_cmd_sample_invalid_density(tmp_path):
+def test_cmd_sample_invalid_density(tmp_path, capsys):
     for density in ("banana", "bogus", "power:-1", "power:nan", "radial:0"):
         assert main(["sample", "--n", "8", "--density", density, "--m", "4",
                      "--out", str(tmp_path / "x")]) == 2
         assert not (tmp_path / "x").exists()
+    # a number that does not parse, or a kind that takes none, is an unknown spec
+    for density in ("radial:x", "power:abc", "power:", "radial:4.0", "banana:3"):
+        assert main(["sample", "--n", "8", "--density", density, "--m", "4",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert (f"unknown density spec {density!r}, expected one of {cli._DENSITY_SPECS}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
+
+def test_cmd_reconstruct_unparsed_density_number_exits_2(tmp_path, capsys):
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    out = tmp_path / "rec"
+    assert main(["reconstruct", "--image", str(img_path), "--density", "radial:x",
+                 "--out", str(out)]) == 2
+    assert "unknown density spec 'radial:x'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_sample_radial_lines_match_library(tmp_path):
@@ -558,6 +576,33 @@ def test_cmd_sweep_rows_and_columns(tmp_path):
     assert seeds == list(range(11, 11 + 12))  # one seed per cell
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["n"] == 16
+
+
+def test_cmd_sweep_rows_are_reconstruct_runs_in_product_order(tmp_path):
+    # rows come in (alpha, eps, trial) order, row i draws with --seed + i, and each row is the
+    # reconstruct run of its cell: same error text, same converged flag
+    img_path = tmp_path / "in.pgm"
+    write_test_image(img_path, n=16)
+    common = ["--image", str(img_path), "--m", "60", "--noise-model", "weighted",
+              "--max-iters", "300"]
+    out = tmp_path / "sw"
+    assert main(["sweep", *common, "--alphas", "2,inf", "--eps-list", "0,0.1", "--trials", "2",
+                 "--seed", "5", "--out", str(out)]) == 0
+    with open(out / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    cells = itertools.product([2.0, math.inf], [0.0, 0.1], range(2))
+    assert [(float(r["alpha"]), float(r["epsilon"]), int(r["trial"]), int(r["seed"]))
+            for r in rows] == [(*cell, 5 + i) for i, cell in enumerate(cells)]
+    for i, r in enumerate(rows):
+        rec = tmp_path / f"rec{i}"
+        code = main(["reconstruct", *common, "--density", f"power:{r['alpha']}",
+                     "--seed", r["seed"], "--eps", r["epsilon"], "--out", str(rec)])
+        with open(rec / "error.csv") as fh:
+            assert r["error"] == next(csv.DictReader(fh))["value"]
+        report = json.loads((rec / "report.json").read_text())
+        assert r["converged"] == str(report["converged"]) == str(code == 0)
+        assert r["status"] == "ok"
+    assert {r["converged"] for r in rows} == {"True", "False"}  # both outcomes are compared
 
 
 def test_cmd_sweep_noise_monotonicity(tmp_path):

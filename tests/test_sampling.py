@@ -298,6 +298,21 @@ def test_plan_rejects_bad_rho(bad):
         SamplingPlan(n=8, freqs=np.array([[0, 0], [1, 2], [-3, 4]]), rho=rho)
 
 
+@pytest.mark.parametrize("rho", [np.array([2j, 1, 1]), np.ones(3, dtype=complex), np.ones(3, dtype=bool)],
+                         ids=["complex", "complex-with-zero-imaginary-part", "bool"])
+def test_plan_rejects_non_real_rho(rho):
+    # numpy orders complex numbers lexicographically, so 2j > 0 holds; the solver would drop the
+    # imaginary part and run every iteration on NaNs
+    with pytest.raises(ValueError, match="finite and positive reals"):
+        SamplingPlan(n=8, freqs=np.array([[0, 0], [1, 0], [0, 1]]), rho=rho)
+
+
+def test_density_rejects_complex_values():
+    # 1/16 + 0j passes a lexicographic >= 0 and sums to 1; draw_plan then drew a complex rho
+    with pytest.raises(ValueError, match="finite and nonnegative reals"):
+        Density(values=np.full((4, 4), 1 / 16 + 0j))
+
+
 @pytest.mark.parametrize("freqs", [np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int)])
 def test_plan_rejects_an_empty_plan(freqs):
     # an empty plan would report a converged solve of nothing
