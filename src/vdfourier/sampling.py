@@ -107,17 +107,32 @@ class SamplingPlan:
 
     @classmethod
     def from_csv(cls, path, n):
-        """Read the rows written by :meth:`to_csv`; the k1, k2 and rho columns are required."""
-        freqs, rho = [], []
+        """Read the rows written by :meth:`to_csv`; the k1, k2 and rho columns are required.
+
+        A row with more fields than the header, or a k1, k2 or rho that does not parse, raises a
+        ValueError that names the file, the line and the column. Text that is not CSV (an unclosed
+        quote, a field past ``csv.field_size_limit()``) raises one that names the last line read.
+        """
+        k1, k2, rho = [], [], []
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh, restval="")
-            missing = [c for c in ("k1", "k2", "rho") if c not in (reader.fieldnames or ())]
-            if missing:
-                raise ValueError(f"plan CSV {path} has no {'/'.join(missing)} column")
-            for row in reader:
-                freqs.append((int(row["k1"]), int(row["k2"])))
-                rho.append(float(row["rho"]))
-        return cls(n=n, freqs=np.array(freqs, dtype=int), rho=np.array(rho))
+            reader = csv.DictReader(fh, restval="", strict=True)
+            try:
+                missing = [c for c in ("k1", "k2", "rho") if c not in (reader.fieldnames or ())]
+                if missing:
+                    raise ValueError(f"plan CSV {path} has no {'/'.join(missing)} column")
+                for row in reader:
+                    where = f"plan CSV {path} line {reader.line_num}"
+                    if None in row:  # DictReader's key for the fields past the header's
+                        raise ValueError(f"{where} has more fields than its header")
+                    for col, parse, values in (("k1", np.int64, k1), ("k2", np.int64, k2),
+                                               ("rho", float, rho)):
+                        try:
+                            values.append(parse(row[col]))
+                        except (ValueError, OverflowError) as exc:
+                            raise ValueError(f"{where}, column {col}: {exc}") from None
+            except csv.Error as exc:
+                raise ValueError(f"plan CSV {path} after line {reader.line_num}: {exc}") from None
+        return cls(n=n, freqs=np.array(list(zip(k1, k2)), dtype=int), rho=np.array(rho))
 
 
 def _normalized(mass):

@@ -5,39 +5,37 @@ Both programs minimize a seminorm subject to the weighted data-fit ball
     || rho o (F_Omega g - y) ||_2 <= eps * sqrt(m)        (weighted)
     ||        F_Omega g - y  ||_2 <= eps * sqrt(m)        (unweighted)
 
-via a primal-dual splitting (PDHG, Chambolle & Pock 2011), over-relaxed as in
-Condat (2013). Repeated draws are merged first: with W_k the sum of rho_j^2
-over the draws of frequency k and ybar_k their weighted mean, the ball becomes
-||sqrt(W) o (F_K g - ybar)|| <= sqrt(r^2 - C) over the distinct frequencies K,
-where C is the weighted spread of the repeated samples about their means. The
-rows of F_K are orthonormal, so the projection onto that ball is one FFT pair
-plus a scalar Newton iteration in its multiplier; the merged data are rotated
-into the FFT's frame once per solve, so it applies no phase. It closes every
-primal step, so every reported iterate is feasible (the relaxed one may leave
-the ball if eps > 0), and the one dual block lives on the range of the gradient
-(TV) or the Haar transform, whose closed-form norms L = sqrt(8) and 1 set the steps
-tau = 1/(omega*L) and sigma = omega/L. The primal weight omega adapts, so the iteration
-count depends little on the scale of the data. Each epoch ends with PDLP's update without its
-half-log smoothing, omega <- ||dq|| / ||dg|| (Applegate et al. 2021, arXiv 2106.04756), (dg, dq)
-the move since the last update, when the residual r = sqrt(omega ||gt - g||^2 +
-||qt - q||^2 / omega), taken at an epoch's first iteration (r0) and at each check, is
-<= 0.2 r0 or the epoch has run 0.36 of all iterations (two of r2HPDHG's restart rules,
-Lu & Yang 2024, arXiv 2407.16144). The iterates are not moved. Every 10th iteration, TV solves
-also mix their last 6 moves (Anderson 1965; the type-II step of Walker & Ni 2011): weights that
-sum to 1 solve a 6 x 6 system, and the state moves to that combination of the states after each
-move. The memory is cleared at each weight update and at the precision switch; steps are 10
-iterations apart, so each reads only moves made after the previous one. The solve stops when the
-objective changes by at most ``primal_tol`` between two checks and returns a new array, whose
-data fit is then measured once, with ``dft2_forward``, independently of the projection. Each PDHG
-state z = (g, q) (the iterate, the trial point, the restart reference and each slot of the ring
-of moves) is one array made once per precision phase, so the move, the relaxation and the
-restart copy are one operation each; every iteration runs in them through the ``out`` arguments
-of the FFT pair, the projection and the transforms, with the operations and their order of the
-allocating calls, so the iterates are bit for bit those of the allocating form. For n >= 64 they
-start in complex64 and are copied once to complex128 at the first check whose objective change
-is <= max(1e-4, ``primal_tol``), or after ``max_iters - 1`` iterations; only complex128 checks
-stop a solve, and the last iteration always runs in complex128. The draws, the Newton scalar,
-the objective and the norms stay in float64.
+via a primal-dual splitting (PDHG, Chambolle & Pock 2011), over-relaxed as in Condat (2013).
+Repeated draws are merged first: with W_k the sum of rho_j^2 over the draws of frequency k and
+ybar_k their weighted mean, the ball becomes ||sqrt(W) o (F_K g - ybar)|| <= sqrt(r^2 - C) over the
+distinct frequencies K, where C is the weighted spread of the repeated samples about their means.
+The rows of F_K are orthonormal, so the projection onto that ball is one FFT pair plus a scalar
+Newton iteration in its multiplier; the merged data are rotated into the FFT's frame once per solve,
+so it applies no phase. It closes every primal step, so every reported iterate is feasible (the
+relaxed one may leave the ball if eps > 0), and the one dual block lives on the range of the
+gradient (TV) or the Haar transform, whose closed-form norms L = sqrt(8) and 1 set the steps
+tau = 1/(omega*L) and sigma = omega/L. The primal weight omega adapts, so the iteration count
+depends little on the scale of the data. One check every 50 iterations decides the epoch end, the
+precision switch and the stop. It takes the residual
+r = sqrt(omega ||gt - g||^2 + ||qt - q||^2 / omega), as an epoch's first iteration does (r0), and
+the objective's relative change since the previous check. The epoch ends with PDLP's update without
+its half-log smoothing, omega <- ||dq|| / ||dg|| (Applegate et al. 2021, arXiv 2106.04756), (dg, dq)
+the move since the last update, when r <= 0.2 r0 or the epoch has run 0.36 of all iterations (two of
+r2HPDHG's restart rules, Lu & Yang 2024, arXiv 2407.16144); the iterates are not moved. The solve
+stops at a change <= ``primal_tol``. Every 10th iteration, TV solves also mix their last 6 moves
+(Anderson 1965; the type-II step of Walker & Ni 2011): weights that sum to 1 solve a 6 x 6 system,
+and the state moves to that combination of the states after each move. The memory is cleared at each
+weight update and at the precision switch; steps are 10 iterations apart, so each reads only moves
+made after the previous one. The solve returns a new array, whose data fit is then measured once,
+with ``dft2_forward``, independently of the projection. Each PDHG state z = (g, q) (the iterate, the
+trial point, the restart reference and each slot of the ring of moves) is one array made once per
+precision phase, so the move, the relaxation and the restart copy are one operation each; every
+iteration runs in them through the ``out`` arguments of the FFT pair, the projection and the
+transforms, with the operations and their order of the allocating calls, so the iterates are
+bit for bit those of the allocating form. For n >= 64 they start in complex64 and are copied once to
+complex128 at the first check whose objective change is <= max(1e-4, ``primal_tol``), or after
+``max_iters - 1`` iterations; only complex128 checks stop a solve, and the last iteration always
+runs in complex128. The draws, the Newton scalar, the objective and the norms stay in float64.
 """
 
 import math
@@ -64,7 +62,7 @@ __all__ = [
     "add_noise",
 ]
 
-_CHECK_EVERY = 50  # iterations between objective checks
+_CHECK_EVERY = 50  # iterations between checks; > 1, so an epoch's first iteration is no check
 _RELAX = 1.8  # over-relaxation of both blocks; converges for (0, 2) at tau*sigma*L**2 <= 1
 # ends of a primal-weight epoch (module docstring)
 _RESTART_SUFFICIENT = 0.2
@@ -227,18 +225,20 @@ def _anderson_step(z, moves, newest, weight):
 def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
     """PDHG for min ||k1(g)||_1 s.t. ||d o (F_Omega g - y)|| <= eps*sqrt(m).
 
-    The dual q is one array shaped like k1(g) (``k1`` has norm <= ``lip``; ``k1`` and ``k1t``
-    take an ``out`` array, which they fill without reading it). An iteration sets
-    gt = P_C(g - tau*k1t(q)) (P_C: data-ball projection), qt = clip(q + sigma*k1(2*gt - g)),
-    and z += _RELAX*(zt - z) for z = (g, q) and zt = (gt, qt), one array each; the move is
-    written into the next slot of a ring. With ``anderson``, the ring holds _AA_MOVES moves, and
-    every _AA_EVERY-th iteration whose ring holds only moves made since the later of the last
-    weight update and the precision switch mixes them into z by :func:`_anderson_step`. The loop
-    exits with its last trial point (gt, qt), made in complex128. Checks, report and result use
-    the feasible gt, and the solve returns a copy of it, an image that shares no loop array;
-    the relaxed anchor g may leave the ball when eps > 0. The merged means are rotated once into
-    the frame of the unphased FFT, where P_C works; the result's fit is measured with the phased
-    ``dft2_forward``.
+    The dual q is one array shaped like k1(g) (``k1`` has norm <= ``lip``; ``k1`` and ``k1t`` take
+    an ``out`` array, which they fill without reading it). An iteration sets
+    gt = P_C(g - tau*k1t(q)) (P_C: data-ball projection), qt = clip(q + sigma*k1(2*gt - g)), and
+    z += _RELAX*(zt - z) for z = (g, q) and zt = (gt, qt), one array each; the move is written into
+    the next slot of a ring. One check every _CHECK_EVERY iterations, before the relaxation,
+    measures the move and the objective change and decides the epoch end; the change it sets decides
+    the precision switch and the stop, after the relaxation and the Anderson step. With
+    ``anderson``, the ring holds _AA_MOVES moves, and every _AA_EVERY-th iteration whose ring holds
+    only moves made since the later of the last weight update and the precision switch mixes them
+    into z by :func:`_anderson_step`. The loop exits with its last trial point (gt, qt), made in
+    complex128. Checks, report and result use the feasible gt, and the solve returns a copy of it,
+    an image that shares no loop array; the relaxed anchor g may leave the ball when eps > 0. The
+    merged means are rotated once into the frame of the unphased FFT, where P_C works; the result's
+    fit is measured with the phased ``dft2_forward``.
     """
     opts = opts or SolverOptions()
     y = _measurements(y, plan)
@@ -296,29 +296,28 @@ def _solve(y, plan, opts, k1, k1t, lip, anderson=False):
             np.divide(1.0, mag, out=mag)
             qt *= mag
             np.subtract(zt, z, out=dz)
-            check = it % _CHECK_EVERY == 0
-            if it == start or check:
+            if it == start or it % _CHECK_EVERY == 0:
                 r = np.sqrt(weight * lp_norm(dz[0], 2) ** 2 + lp_norm(dz[1:], 2) ** 2 / weight)
                 if it == start:
                     r0 = r
-                elif r <= _RESTART_SUFFICIENT * r0 or it - start + 1 >= _RESTART_ARTIFICIAL * it:
-                    dg, dq = lp_norm(zt[0] - z_ref[0], 2), lp_norm(zt[1:] - z_ref[1:], 2)
-                    # the full ratio dq/dg; weight and lip are Python floats, since an
-                    # np.float64 step would run the complex64 products in complex128
-                    if dg > 0 and dq > 0:
-                        weight = dq / dg
-                    np.copyto(z_ref, zt)
-                    updates += 1
-                    start = it + 1  # no step mixes moves made under two weights
+                else:  # a check: the objective change, then the epoch end
+                    obj = lp_norm(k1(gt), 1)
+                    rel_change = abs(obj - obj_prev) / max(abs(obj), 1e-30)
+                    obj_prev = obj
+                    if r <= _RESTART_SUFFICIENT * r0 or it - start + 1 >= _RESTART_ARTIFICIAL * it:
+                        dg, dq = lp_norm(zt[0] - z_ref[0], 2), lp_norm(zt[1:] - z_ref[1:], 2)
+                        # the full ratio dq/dg; weight and lip are Python floats, since an
+                        # np.float64 step would run the complex64 products in complex128
+                        if dg > 0 and dq > 0:
+                            weight = dq / dg
+                        np.copyto(z_ref, zt)
+                        updates += 1
+                        start = it + 1  # no step mixes moves made under two weights
             z += np.multiply(_RELAX, dz, out=dz)
             if anderson and it - max(start, first) + 1 >= slots and it % _AA_EVERY == 0:
                 aa_steps += _anderson_step(z, moves, it % slots, weight)
-            if check:
-                obj = lp_norm(k1(gt), 1)
-                rel_change = abs(obj - obj_prev) / max(abs(obj), 1e-30)
-                obj_prev = obj
-                if rel_change <= tol:
-                    break
+            if rel_change <= tol:  # set at checks only
+                break
 
     fit2 = float(np.sum(w * np.abs(dft2_forward(gt).ravel()[lin] - ybar) ** 2))
     violation = max(0.0, np.sqrt(fit2 + spread) - radius)

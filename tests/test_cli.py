@@ -431,7 +431,8 @@ def test_cmd_reconstruct_rejects_nonfinite_plan(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("j,k1,k2\n0,0,0\n", "no rho column"), ("j,k2,rho\n0,0,1.0\n", "no k1 column"),
     ("", "no k1/k2/rho column"), ("j,k1,k2,rho\n0,0,0\n", "float"),
-    ("j,k1,k2,rho\n", "m = 0"),
+    ("j,k1,k2,rho\n", "m = 0"), ("j,k1,k2,rho\n0,1.5,0,1.0\n", "line 2, column k1"),
+    ("j,k1,k2,rho\n0,0,0,1.0,5\n", "line 2 has more fields"),
 ])
 def test_cmd_reconstruct_rejects_malformed_plan_csv(tmp_path, capsys, text, message):
     img_path = tmp_path / "in.pgm"

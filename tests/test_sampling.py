@@ -350,6 +350,22 @@ def test_plan_csv_roundtrip(tmp_path):
     assert np.allclose(back.rho, plan.rho, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,1.5,0,1.0", "line 3, column k1: invalid literal for int()"),
+    ("1,0,2", "line 3, column rho: could not convert string to float"),
+    ("1,0,2,1.0,7", "line 3 has more fields than its header"),
+    ("1,0,99999999999999999999,1.0", "line 3, column k2: "),  # past int64
+    ('1,0,2,"1.0', "after line 2: unexpected end of data"),  # the quote runs to the file's end
+    ("1,0,2," + "1" * 200_000, "after line 2: field larger than field limit"),
+])
+def test_plan_csv_rejects_a_malformed_row_by_file_and_line(tmp_path, row, message):
+    path = tmp_path / "plan.csv"
+    path.write_text(f"j,k1,k2,rho\n0,0,0,1.0\n{row}\n2,1,1,1.0\n")
+    with pytest.raises(ValueError) as exc:
+        SamplingPlan.from_csv(path, 16)
+    assert str(exc.value).startswith(f"plan CSV {path} ") and message in str(exc.value)
+
+
 def test_plan_and_density_hold_only_what_the_pipeline_reads():
     assert [f.name for f in fields(SamplingPlan)] == ["n", "freqs", "rho"]
     assert [f.name for f in fields(Density)] == ["values"]
@@ -361,9 +377,13 @@ def test_plan_lin_is_the_flat_storage_position():
     k1, k2 = plan.freqs[:, 0], plan.freqs[:, 1]
     assert np.array_equal(plan.lin, (k1 % n) * n + k2 % n)
     assert np.array_equal(np.flatnonzero(plan.mask()), np.unique(plan.lin))
-    for bad in ([[n // 2 + 1, 0]], [[0, -n // 2]]):
-        with pytest.raises(ValueError, match="outside"):
-            SamplingPlan(n=n, freqs=np.array(bad), rho=np.ones(1))
+    assert np.array_equal(full_grid_plan(n).lin, np.arange(n * n))  # the grid in storage order
+    for bad in (n // 2 + 1, -n // 2):
+        for axis in (0, 1):
+            freqs = np.zeros((1, 2), dtype=int)
+            freqs[0, axis] = bad
+            with pytest.raises(ValueError, match="outside"):
+                SamplingPlan(n=n, freqs=freqs, rho=np.ones(1))
 
 
 def test_plan_mask_marks_sampled_cells():

@@ -355,6 +355,34 @@ def test_converged_implies_feasible(monkeypatch, solve):
     assert report.constraint_violation > 0
 
 
+@pytest.mark.parametrize("primal_tol", [1e-6, 1e-2])
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+@pytest.mark.parametrize("n", [32, 64])  # n = 64 starts in complex64
+@pytest.mark.parametrize("solve", [tv_min_reconstruct, l1_haar_reconstruct])
+def test_the_stop_rule_is_the_one_reported(solve, n, eps, primal_tol):
+    # the report alone tells why a solve ended: at a check whose objective change is <=
+    # primal_tol, or at max_iters; caps around the checks and around the precision switch
+    f, m, seed = (rect_phantom(n, seed=0), 410, 1000) if n == 32 else (shepp_logan(n), 614, 7)
+    plan = draw_plan(density_inverse_square(n), m, seed=seed)
+    opts = SolverOptions(primal_tol=primal_tol, epsilon=eps,
+                         noise_model="weighted" if eps else "unweighted")
+    y = add_noise(partial_dft(f, plan), plan, eps, model=opts.noise_model, seed=1)
+    viol_tol = opts.dual_tol * data_scale(y, plan, opts)
+    uncapped = solve(y, plan, opts)[1]
+    s = uncapped.single_iterations
+    caps = {1, 49, 50, 99, 100, 101, 151, s - 1, s + 1} - {-1, 0}
+    reports = [(opts.max_iters, uncapped)] + [
+        (cap, solve(y, plan, dataclasses.replace(opts, max_iters=cap))[1]) for cap in sorted(caps)]
+    for max_iters, r in reports:
+        stopped = r.primal_residual is not None and r.primal_residual <= primal_tol
+        assert stopped or r.iterations == max_iters, (max_iters, r)
+        assert not stopped or r.iterations % solvers._CHECK_EVERY == 0, (max_iters, r)
+        assert r.converged == (stopped and r.constraint_violation <= viol_tol), (max_iters, r)
+        checks = r.iterations // solvers._CHECK_EVERY - r.single_iterations // solvers._CHECK_EVERY
+        assert (r.primal_residual is None) == (checks < 2), (max_iters, r)  # complex128 checks
+    assert uncapped.converged
+
+
 @pytest.mark.parametrize("eps", [np.nan, np.inf, True, np.True_])
 def test_solver_options_reject_nonfinite_epsilon(eps):
     with pytest.raises(ValueError, match="epsilon"):

@@ -40,18 +40,6 @@ def test_freq_values_range():
     assert ks[0] == 0
 
 
-def test_freq_to_index_roundtrip_and_range():
-    # SamplingPlan.lin owns the rule: the full grid in storage order is 0 .. n^2 - 1
-    n = 16
-    assert np.array_equal(full_grid_plan(n).lin, np.arange(n * n))
-    for bad in (n // 2 + 1, -n // 2):
-        for axis in (0, 1):
-            freqs = np.zeros((1, 2), dtype=int)
-            freqs[0, axis] = bad
-            with pytest.raises(ValueError, match="outside"):
-                SamplingPlan(n=n, freqs=freqs, rho=np.ones(1))
-
-
 @pytest.mark.parametrize("n", [32, 128])
 @pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "uint8", "uint16", "uint32", "uint64"])
 def test_plan_of_any_integer_dtype_matches_int64(n, dtype):
