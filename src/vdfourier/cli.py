@@ -327,7 +327,7 @@ def cmd_verify(args):
     results.append(_check_row("preconditioned isotropy identity", 1e-10, iso, n=8))
 
     full = SamplingPlan.from_lin(8, np.arange(64), np.full(64, 8.0))
-    delta = rip_exact(build_preconditioned_matrix(full), 2).delta
+    delta = rip_exact(build_preconditioned_matrix(full), 2)
     results.append(_check_row("full-sampling RIP delta_2 = 0", 1e-10, delta, n=8))
 
     mean_zero = np.add.outer(np.linspace(-1, 1, 16), np.linspace(-1, 1, 16))

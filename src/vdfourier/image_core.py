@@ -98,11 +98,15 @@ def tv_norm(f):
 
 
 def lp_norm(x, p):
-    """Vector lp norm for p in [1, inf]; p = inf gives the max modulus. Sums in float64."""
+    """Vector lp norm for p in [1, inf]; p = inf gives the max modulus.
+
+    The moduli are cast to float64 before the power, so complex64 input neither overflows nor
+    underflows where its norm is a float64.
+    """
     x = np.asarray(x).ravel()
     if not p >= 1:  # also refuses NaN
         raise ValueError(f"lp_norm requires p >= 1 or p = inf, got {p}")
-    mags = np.abs(x)
+    mags = np.abs(x).astype(np.float64, copy=False)
     if p == np.inf:
         return float(mags.max(initial=0.0))
     return float((mags**p).sum(dtype=np.float64) ** (1.0 / p))

@@ -19,18 +19,35 @@ def _tokens(data):
     raise ValueError("truncated PGM header")
 
 
+def _int(token, field):
+    """A header or pixel token as a Python int; one that is not an integer names its field."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{field} {token.decode(errors='replace')!r} is not an integer") from None
+
+
 def read_pgm(path):
-    """Read a PGM file; returns (pixels in [0,1] as float array, maxval)."""
+    """Read a PGM file; returns (pixels in [0,1] as float array, maxval).
+
+    Every ValueError names the path.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
+    try:
+        return _parse(data)
+    except ValueError as exc:
+        raise ValueError(f"PGM {path}: {exc}") from None
+
+
+def _parse(data):
+    """:func:`read_pgm`'s result from the bytes of a PGM file."""
     toks = _tokens(data)
     magic, _ = next(toks)
     if magic not in (b"P2", b"P5"):
         raise ValueError(f"not a PGM file (magic {magic!r})")
-    width, _ = next(toks)
-    height, _ = next(toks)
-    (maxval, end) = next(toks)
-    width, height, maxval = int(width), int(height), int(maxval)
+    (width, _), (height, _), (maxval, end) = next(toks), next(toks), next(toks)
+    width, height, maxval = _int(width, "width"), _int(height, "height"), _int(maxval, "maxval")
     if width < 1 or height < 1:
         raise ValueError(f"invalid PGM size {width} x {height}")
     if not 0 < maxval < 65536:
@@ -41,7 +58,7 @@ def read_pgm(path):
         if len(toks) != count:
             raise ValueError("truncated P2 pixel data")
         # Python ints first: a sign or a value past uint32 is named, not an OverflowError
-        bad = next((t for t in toks if not 0 <= int(t) <= maxval), None)
+        bad = next((t for t in toks if not 0 <= _int(t, "pixel") <= maxval), None)
         if bad is not None:
             raise ValueError(f"pixel value {bad.decode()} outside [0, maxval = {maxval}]")
         vals = np.array(toks, dtype=np.uint32)

@@ -1,13 +1,12 @@
 """Desk-scale checks of the structural claims behind the sampling theory.
 
-Covers exhaustive and Monte-Carlo restricted-isometry constants, the
+Covers exact restricted-isometry constants by support enumeration, the
 preconditioned measurement matrix and its isotropy identity, the per-edge
 wavelet-crossing count, the per-atom TV bound, and the sorted-coefficient
 decay of the Haar transform relative to the TV seminorm.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -16,9 +15,7 @@ from .image_core import as_image, side_exponent, tv_norm
 from .transforms import _haar_blocks, fft2_unphased, haar_forward, haar_matrix
 
 __all__ = [
-    "RipEstimate",
     "rip_exact",
-    "rip_monte_carlo",
     "build_preconditioned_matrix",
     "isotropy_identity_error",
     "check_edge_lemma",
@@ -29,69 +26,28 @@ __all__ = [
 ENUMERATION_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class RipEstimate:
-    """Restricted isometry constant ``delta`` of order s over ``supports_checked`` supports.
+def rip_exact(a, s):
+    """Exact restricted isometry constant delta_s of a matrix, by enumerating its column supports.
 
-    ``exhaustive``: every size-s support was checked, so ``delta`` is exact; otherwise
-    the supports were random and ``delta`` is a lower bound.
+    delta_s is the max |eig - 1| of the s x s Gram submatrices over all size-s supports. Refuses
+    when the support count exceeds the enumeration budget. The supports are read 4096 at a time,
+    so memory stays flat however many there are.
     """
-
-    s: int
-    delta: float
-    supports_checked: int
-    exhaustive: bool
-
-
-def _delta(a, s, supports):
-    """Max |eig - 1| of the s x s Gram submatrices of ``a`` over an iterable of supports.
-
-    The supports are read 4096 at a time, so memory stays flat however many there are.
-    """
+    a = np.asarray(a)
+    n = a.shape[1]
+    if not 1 <= s <= n:
+        raise ValueError(f"s must be in [1, {n}], got {s}")
+    count = math.comb(n, s)
+    if count > ENUMERATION_BUDGET:
+        raise ValueError(
+            f"C({n},{s}) = {count} supports exceeds the budget of {ENUMERATION_BUDGET}")
     gram = a.conj().T @ a
-    flat = chain.from_iterable(supports)
+    flat = chain.from_iterable(combinations(range(n), s))
     worst = []
     while (idx := np.fromiter(islice(flat, 4096 * s), np.intp).reshape(-1, s)).size:
         eig = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
         worst.append(np.abs(eig - 1.0).max())
     return float(np.max(worst))
-
-
-def _support_columns(a, s):
-    """``a`` as an array and its column count n, once ``1 <= s <= n`` is checked."""
-    a = np.asarray(a)
-    n = a.shape[1]
-    if not 1 <= s <= n:
-        raise ValueError(f"s must be in [1, {n}], got {s}")
-    return a, n
-
-
-def rip_exact(a, s):
-    """Exact delta_s of a matrix by enumerating all size-s column supports.
-
-    Refuses when the support count exceeds the enumeration budget; use
-    :func:`rip_monte_carlo` for a seeded lower bound in that case.
-    """
-    a, n = _support_columns(a, s)
-    count = math.comb(n, s)
-    if count > ENUMERATION_BUDGET:
-        raise ValueError(
-            f"C({n},{s}) = {count} supports exceeds the budget of {ENUMERATION_BUDGET}; "
-            "use rip_monte_carlo for a lower bound"
-        )
-    return RipEstimate(s=s, delta=_delta(a, s, combinations(range(n), s)),
-                       supports_checked=count, exhaustive=True)
-
-
-def rip_monte_carlo(a, s, trials, seed=0):
-    """Lower bound on delta_s from random supports; deterministic per seed."""
-    a, n = _support_columns(a, s)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    supports = (rng.choice(n, size=s, replace=False) for _ in range(trials))
-    return RipEstimate(s=s, delta=_delta(a, s, supports), supports_checked=trials,
-                       exhaustive=False)
 
 
 def _atom_spectra(n):

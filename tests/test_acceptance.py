@@ -221,12 +221,12 @@ def test_criterion_6_rip_trend():
     medians = []
     for m in (16, 32, 64, 128):
         deltas = [
-            rip_exact(build_preconditioned_matrix(draw_plan(density, m, 7000 + s)), 2).delta
+            rip_exact(build_preconditioned_matrix(draw_plan(density, m, 7000 + s)), 2)
             for s in range(20)
         ]
         medians.append(float(np.median(deltas)))
     decreasing = all(a > b for a, b in zip(medians, medians[1:]))
-    full_delta = rip_exact(build_preconditioned_matrix(full_grid_plan(n, rho_value=n)), 2).delta
+    full_delta = rip_exact(build_preconditioned_matrix(full_grid_plan(n, rho_value=n)), 2)
     ok = decreasing and full_delta <= 1e-10
     assert announce(6, ok,
                     "median delta_2 " + " > ".join(f"{v:.3f}" for v in medians)

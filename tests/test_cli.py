@@ -392,6 +392,16 @@ def test_cmd_reconstruct_rejects_bad_image(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cmd_reconstruct_names_a_malformed_image(tmp_path, capsys):
+    img_path = tmp_path / "in.pgm"
+    img_path.write_bytes(b"P5\nab 4\n255\n" + bytes(16))
+    out = tmp_path / "out"
+    argv = ["reconstruct", "--image", str(img_path), "--density", "uniform", "--m", "10"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: PGM {img_path}: width 'ab' is not an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_reconstruct_rejects_nan_eps(tmp_path):
     img_path = tmp_path / "in.pgm"
     write_test_image(img_path, n=16)

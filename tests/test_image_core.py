@@ -159,6 +159,13 @@ def test_lp_norm_basics():
         lp_norm(x, 0.5)
 
 
+@pytest.mark.parametrize("modulus", [1e20, 1e-24], ids=["overflow", "underflow"])
+def test_lp_norm_takes_complex64_powers_in_float64(modulus):
+    # squared in float32, 1e20 overflowed to inf and 1e-24 underflowed to 0
+    x = np.array([modulus], np.complex64)
+    assert lp_norm(x, 2) == pytest.approx(float(np.abs(x[0])), rel=1e-15, abs=0)
+
+
 @pytest.mark.parametrize("p", [0.5, -np.inf, np.nan])
 def test_lp_norm_and_best_s_term_error_reject_p_below_one(p):
     x = np.array([1.0, -2.0, 0.5])

@@ -84,6 +84,21 @@ def test_read_names_a_size_that_is_not_positive(tmp_path, size, magic, raster):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"P5\nab 4\n255\n", "width 'ab' is not an integer"),
+    (b"P5\n4 4x\n255\n", "height '4x' is not an integer"),
+    (b"P2\n2 1\n2.5\n0 1\n", "maxval '2.5' is not an integer"),
+    (b"P2\n2 1\n255\n0 x\n", "pixel 'x' is not an integer"),
+    (b"P7\n2 1\n255\n\x00\x00", "not a PGM file (magic b'P7')"),
+    (b"P5\n4 4\n255\n\x00\x01", "truncated P5 pixel data"),
+], ids=["width", "height", "maxval", "pixel", "magic", "short-raster"])
+def test_read_errors_name_the_path_and_the_field(tmp_path, data, message):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=re.escape(f"PGM {path}: {message}")):
+        read_pgm(path)
+
+
 def test_write_rejects_bad_maxval(tmp_path):
     # a float or bool would be written into the header as 255.5, 255.0 or True,
     # which read_pgm cannot parse

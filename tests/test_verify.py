@@ -23,7 +23,6 @@ from vdfourier.verify import (
     check_edge_lemma,
     isotropy_identity_error,
     rip_exact,
-    rip_monte_carlo,
 )
 
 
@@ -42,32 +41,25 @@ def rip_oracle_svd(a, s):
 def test_rip_exact_unitary_is_zero():
     q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((12, 12)))
     for s in range(1, 13):
-        assert rip_exact(q, s).delta <= 1e-12
+        assert rip_exact(q, s) <= 1e-12
 
 
 def test_rip_exact_duplicated_column():
     e1 = np.zeros((4, 1))
     e1[0] = 1.0
-    est = rip_exact(np.hstack([e1, e1]), 2)
-    assert est.delta == pytest.approx(1.0, abs=1e-12)
-    assert est.supports_checked == 1
+    assert rip_exact(np.hstack([e1, e1]), 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rip_exact_matches_svd_oracle():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((6, 12)) / np.sqrt(6)
-    est = rip_exact(a, 2)
-    assert est.exhaustive
-    assert est.supports_checked == 66
-    assert est.delta == pytest.approx(rip_oracle_svd(a, 2), rel=1e-10)
+    assert rip_exact(a, 2) == pytest.approx(rip_oracle_svd(a, 2), rel=1e-10)
 
 
 def test_rip_exact_over_several_support_chunks_matches_svd_oracle():
     # C(15, 6) = 5005 supports: more than one chunk of 4096
     a = np.random.default_rng(7).standard_normal((12, 15)) / np.sqrt(12)
-    est = rip_exact(a, 6)
-    assert est.supports_checked == 5005
-    assert est.delta == pytest.approx(rip_oracle_svd(a, 6), rel=1e-10)
+    assert rip_exact(a, 6) == pytest.approx(rip_oracle_svd(a, 6), rel=1e-10)
 
 
 def test_rip_exact_memory_is_flat_in_the_support_count():
@@ -86,40 +78,19 @@ def test_rip_exact_memory_is_flat_in_the_support_count():
 def test_rip_delta_nondecreasing_in_s():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((8, 12)) / np.sqrt(8)
-    deltas = [rip_exact(a, s).delta for s in (1, 2, 3, 4)]
+    deltas = [rip_exact(a, s) for s in (1, 2, 3, 4)]
     assert all(x <= y + 1e-12 for x, y in zip(deltas, deltas[1:]))
 
 
 def test_rip_exact_budget():
-    with pytest.raises(ValueError, match="monte_carlo"):
+    with pytest.raises(ValueError, match=r"C\(60,6\) = 50063860 supports exceeds the budget"):
         rip_exact(np.eye(60), 6)
 
 
-def test_rip_monte_carlo_lower_bound_and_reproducible():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((6, 12)) / np.sqrt(6)
-    exact = rip_exact(a, 2).delta
-    mc1 = rip_monte_carlo(a, 2, trials=30, seed=5)
-    mc2 = rip_monte_carlo(a, 2, trials=30, seed=5)
-    assert mc1.delta == mc2.delta
-    assert not mc1.exhaustive and mc1.supports_checked == 30
-    assert mc1.delta <= exact + 1e-12
-    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
-    assert rip_monte_carlo(q, 3, trials=20, seed=6).delta <= 1e-12
-
-
-@pytest.mark.parametrize("trials", [0, -3])
-def test_rip_monte_carlo_rejects_no_trials(trials):
-    with pytest.raises(ValueError, match="trials must be >= 1"):
-        rip_monte_carlo(np.eye(4), 2, trials=trials)
-
-
-@pytest.mark.parametrize("estimate", [rip_exact, lambda a, s: rip_monte_carlo(a, s, trials=5)],
-                         ids=["exact", "monte_carlo"])
-@pytest.mark.parametrize("s", [0, -1, 5])
-def test_rip_rejects_support_size_outside_the_columns(estimate, s):
+@pytest.mark.parametrize("s", [0, -1, 5], ids=lambda s: f"{s}-exact")
+def test_rip_rejects_support_size_outside_the_columns(s):
     with pytest.raises(ValueError, match=rf"s must be in \[1, 4\], got {s}"):
-        estimate(np.eye(4), s)
+        rip_exact(np.eye(4), s)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +100,7 @@ def test_full_sampling_preconditioned_matrix_is_unitary():
     plan = full_grid_plan(8, rho_value=8.0)
     mat = build_preconditioned_matrix(plan)
     assert np.abs(mat.conj().T @ mat - np.eye(64)).max() <= 1e-10
-    assert rip_exact(mat, 2).delta <= 1e-10
+    assert rip_exact(mat, 2) <= 1e-10
 
 
 def test_preconditioned_matrix_size_budget():
@@ -154,7 +125,7 @@ def test_delta2_median_decreases_with_m():
     medians = []
     for m in (16, 64):
         deltas = [
-            rip_exact(build_preconditioned_matrix(draw_plan(density, m, 7000 + s)), 2).delta
+            rip_exact(build_preconditioned_matrix(draw_plan(density, m, 7000 + s)), 2)
             for s in range(5)
         ]
         medians.append(np.median(deltas))
